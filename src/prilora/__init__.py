@@ -1,114 +1,8 @@
 """Budget-preserving low-rank adapters with importance-based pruning,
 plus the small training stack and experiment tooling around them.
+
+The package root exports only ``__version__``; import everything else from
+its submodule, e.g. ``from prilora.train_harness import train``.
 """
 
-from .adapter import (
-    AdapterPair,
-    FrozenLinear,
-    init_adapter,
-    merge,
-    nonzero_param_count,
-    trainable_param_count,
-)
-from .adapter import forward as adapter_forward
-from .errors import (
-    BudgetError,
-    ConfigError,
-    FormatError,
-    NumericError,
-    ParameterError,
-    PriloraError,
-    RankError,
-    ShapeError,
-    TrainingDiverged,
-)
-from .model import MATRIX_KINDS, ModelDims, ToyModel, layer_shapes
-from .numerics import Rng, Tensor, gaussian, grad_check, no_grad
-from .prune_engine import (
-    EmaState,
-    PruneConfig,
-    PruneMask,
-    ablation_prune,
-    apply_mask,
-    batch_input_norm,
-    build_mask,
-    ema_update,
-    importance,
-    should_prune,
-)
-from .rank_plan import (
-    RankPlan,
-    concentrated_plan,
-    deberta_base_preset,
-    explicit_plan,
-    inverted_plan,
-    linear_plan,
-    uniform_plan,
-)
-from .tasks import SyntheticTask, TaskData
-from .train_harness import (
-    EvalPoint,
-    RunRecord,
-    TrainConfig,
-    build_model,
-    evaluate,
-    steps_to_peak,
-    train,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdapterPair",
-    "FrozenLinear",
-    "init_adapter",
-    "adapter_forward",
-    "merge",
-    "trainable_param_count",
-    "nonzero_param_count",
-    "PriloraError",
-    "ShapeError",
-    "ParameterError",
-    "NumericError",
-    "BudgetError",
-    "RankError",
-    "ConfigError",
-    "FormatError",
-    "TrainingDiverged",
-    "ModelDims",
-    "ToyModel",
-    "MATRIX_KINDS",
-    "layer_shapes",
-    "Rng",
-    "Tensor",
-    "gaussian",
-    "grad_check",
-    "no_grad",
-    "EmaState",
-    "PruneConfig",
-    "PruneMask",
-    "batch_input_norm",
-    "ema_update",
-    "importance",
-    "build_mask",
-    "apply_mask",
-    "should_prune",
-    "ablation_prune",
-    "RankPlan",
-    "linear_plan",
-    "uniform_plan",
-    "inverted_plan",
-    "concentrated_plan",
-    "explicit_plan",
-    "deberta_base_preset",
-    "SyntheticTask",
-    "TaskData",
-    "TrainConfig",
-    "EvalPoint",
-    "RunRecord",
-    "build_model",
-    "train",
-    "evaluate",
-    "steps_to_peak",
-    "__version__",
-]

@@ -141,13 +141,18 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _run_group(cfg: dict, seeds: tuple[int, ...], group_dir: Path, jobs: int) -> list[dict]:
-    group_dir.mkdir(parents=True, exist_ok=True)
-    work = [(dict(cfg), seed, str(group_dir / f"seed_{seed}")) for seed in seeds]
+def _map_runs(work: list[tuple[dict, int, str]], jobs: int) -> list[dict]:
+    """_execute_run over every (cfg, seed, run_dir), in order; a pool when jobs > 1."""
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_execute_run, *zip(*work)))
     return [_execute_run(*item) for item in work]
+
+
+def _run_group(cfg: dict, seeds: tuple[int, ...], group_dir: Path, jobs: int) -> list[dict]:
+    group_dir.mkdir(parents=True, exist_ok=True)
+    work = [(dict(cfg), seed, str(group_dir / f"seed_{seed}")) for seed in seeds]
+    return _map_runs(work, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +354,7 @@ def cmd_ablate(args) -> int:
         (ablation_config(spec.config, variant), base_seed, str(grid_dir / variant))
         for variant in ABLATION_VARIANTS
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_execute_run, *zip(*work)))
-    else:
-        results = [_execute_run(*item) for item in work]
+    results = _map_runs(work, args.jobs)
 
     rows = ["variant\tstatus\tfinal_loss\tfinal_accuracy\tadapter_params\tnonzero_final\tsteps_to_peak"]
     grid: dict[str, dict] = {}

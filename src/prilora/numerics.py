@@ -9,12 +9,14 @@ checks tight and serialized payloads byte-identical across runs.
 
 Raw array storage and the matrix product itself are delegated to numpy; the
 tape, the gradient rules, the random stream discipline, and the wire format
-are owned here.
+are owned here. The wire format has one parser, ``read_tensor``, which reads
+from a stream; ``tensor_from_bytes`` runs it over an in-memory buffer.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import struct
 from contextlib import contextmanager
@@ -97,12 +99,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() requires a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``."""
@@ -428,6 +424,9 @@ class Rng:
         }
 
     def set_state(self, state: dict) -> None:
+        # Philox indexes its four-word buffer with this and does not check it
+        if not 0 <= int(state["buffer_pos"]) <= 4:
+            raise ParameterError(f"buffer position must lie in [0, 4], got {state['buffer_pos']}")
         self.seed = int(state["seed"])
         self._bitgen.state = {
             "bit_generator": "Philox",
@@ -512,27 +511,12 @@ def tensor_to_bytes(t: Tensor | np.ndarray) -> bytes:
 
 
 def tensor_from_bytes(buf: bytes | memoryview) -> Tensor:
-    t, consumed = _parse_tensor(memoryview(buf))
-    if consumed != len(buf):
-        raise ShapeError(f"trailing bytes after tensor payload: {len(buf) - consumed}")
+    fp = io.BytesIO(buf)
+    t = read_tensor(fp)
+    extra = len(fp.read())
+    if extra:
+        raise ShapeError(f"trailing bytes after tensor payload: {extra}")
     return t
-
-
-def _parse_tensor(view: memoryview) -> tuple[Tensor, int]:
-    if len(view) < 4:
-        raise ShapeError("tensor payload truncated before shape header")
-    (ndim,) = struct.unpack_from("<I", view, 0)
-    offset = 4
-    if len(view) < offset + 8 * ndim:
-        raise ShapeError("tensor payload truncated inside shape header")
-    shape = struct.unpack_from(f"<{ndim}Q" if ndim else "", view, offset)
-    offset += 8 * ndim
-    count = int(np.prod(shape)) if ndim else 1
-    nbytes = 8 * count
-    if len(view) < offset + nbytes:
-        raise ShapeError("tensor payload truncated inside data section")
-    data = np.frombuffer(view[offset : offset + nbytes], dtype="<f8").astype(np.float64)
-    return Tensor(data.reshape(shape)), offset + nbytes
 
 
 def write_tensor(fp: BinaryIO, t: Tensor | np.ndarray) -> None:
@@ -548,7 +532,9 @@ def read_tensor(fp: BinaryIO) -> Tensor:
     if len(shape_bytes) < 8 * ndim:
         raise ShapeError("tensor payload truncated inside shape header")
     shape = struct.unpack(f"<{ndim}Q" if ndim else "", shape_bytes)
-    count = int(np.prod(shape)) if ndim else 1
+    count = math.prod(shape)
+    if max((count, *shape)) >= 2**60:
+        raise ShapeError(f"tensor shape {shape} lies past the index range")
     payload = fp.read(8 * count)
     if len(payload) < 8 * count:
         raise ShapeError("tensor payload truncated inside data section")

@@ -8,13 +8,16 @@ Zeroed entries stay trainable: gradients and optimizer state are untouched,
 so a weight that matters later can grow back.
 
 The ablation strategies (random column choice, pruning B by rows or by
-columns) live here too, sharing the same mask machinery.
+columns) live here too, sharing the same mask machinery, and so does the
+per-event dispatch: ``prune_event`` prunes every adapter under the configured
+strategy and returns one event record per adapter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -34,6 +37,7 @@ __all__ = [
     "apply_mask",
     "should_prune",
     "ablation_prune",
+    "prune_event",
 ]
 
 STRATEGIES = ("prilora_A", "random_A_cols", "B_rows", "B_cols", "none")
@@ -66,10 +70,6 @@ class EmaState:
     @property
     def update_weight(self) -> float:
         return 1.0 - self.decay
-
-    @property
-    def width(self) -> int:
-        return self.xbar.shape[0]
 
     @classmethod
     def zeros(cls, width: int, decay: float = 0.9) -> "EmaState":
@@ -239,23 +239,52 @@ def ablation_prune(
         n = math.floor(cfg.prune_ratio * d2)
         mask = np.zeros((r, d2), dtype=np.uint8)
         for i in range(r):
-            cols = rng.permutation(d2)[:n]
-            mask[i, cols] = 1
-        pm = PruneMask(mask, event_step=event_step)
-        adapter.A.data[...] = apply_mask(adapter.A.data, pm)
-        return pm
-    if cfg.strategy == "B_rows":
-        S = importance(adapter.B.data, xbar_for_target)
-        pm = build_mask(S, cfg.prune_ratio, event_step=event_step)
-        adapter.B.data[...] = apply_mask(adapter.B.data, pm)
-        return pm
-    if cfg.strategy == "B_cols":
-        S = importance(adapter.B.data, xbar_for_target)
-        col_mask = build_mask(S.T, cfg.prune_ratio, event_step=event_step)
-        pm = PruneMask(col_mask.M.T, event_step=event_step)
-        adapter.B.data[...] = np.where(pm.M == 1, 0.0, adapter.B.data)
-        return pm
-    raise ConfigError(
-        f"strategy {cfg.strategy!r} is not an ablation pruner; "
-        "expected random_A_cols, B_rows, or B_cols"
-    )
+            mask[i, rng.permutation(d2)[:n]] = 1
+        target, pm = adapter.A, PruneMask(mask, event_step=event_step)
+    elif cfg.strategy in ("B_rows", "B_cols"):
+        target, S = adapter.B, importance(adapter.B.data, xbar_for_target)
+        if cfg.strategy == "B_rows":
+            pm = build_mask(S, cfg.prune_ratio, event_step=event_step)
+        else:
+            pm = PruneMask(build_mask(S.T, cfg.prune_ratio).M.T, event_step=event_step)
+    else:
+        raise ConfigError(
+            f"strategy {cfg.strategy!r} is not an ablation pruner; "
+            "expected random_A_cols, B_rows, or B_cols"
+        )
+    target.data[...] = apply_mask(target.data, pm)
+    return pm
+
+
+def prune_event(
+    adapters: Mapping[str, AdapterPair],
+    cfg: PruneConfig,
+    xbars: Mapping[str, EmaState],
+    rng: Rng | None,
+    step: int,
+) -> list[dict]:
+    """Prune every adapter once under cfg.strategy; one event record each.
+
+    xbars holds each layer's tracked norms of the pruned factor's input: the
+    layer input for prilora_A, the latent for B_rows and B_cols; random_A_cols
+    draws from rng instead.
+    """
+    events: list[dict] = []
+    for name, pair in adapters.items():
+        if cfg.strategy == "prilora_A":
+            scores = importance(pair.A.data, xbars[name].xbar)
+            mask = build_mask(scores, cfg.prune_ratio, event_step=step)
+            pair.A.data[...] = apply_mask(pair.A.data, mask)
+        else:
+            xbar = None if cfg.strategy == "random_A_cols" else xbars[name].xbar
+            mask = ablation_prune(pair, xbar, cfg, rng, event_step=step)
+        events.append(
+            {
+                "step": step,
+                "layer": name,
+                "strategy": cfg.strategy,
+                "ratio": cfg.prune_ratio,
+                "zeros_written": mask.zeros_written,
+            }
+        )
+    return events

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, IO
 
 import numpy as np
@@ -27,16 +27,7 @@ from .adapter import nonzero_param_count, trainable_param_count
 from .errors import ConfigError, NumericError, ParameterError, TrainingDiverged
 from .model import MATRIX_KINDS, ModelDims, ToyModel, layer_shapes
 from .numerics import Rng, Tensor
-from .prune_engine import (
-    EmaState,
-    PruneConfig,
-    ablation_prune,
-    apply_mask,
-    build_mask,
-    ema_update,
-    importance,
-    should_prune,
-)
+from .prune_engine import EmaState, PruneConfig, ema_update, prune_event, should_prune
 from .rank_plan import RankPlan
 from .tasks import TaskData
 
@@ -112,29 +103,11 @@ class EvalPoint:
     prune_events: list[dict]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "step": self.step,
-                "loss": self.loss,
-                "accuracy": self.accuracy,
-                "nonzero_params": self.nonzero_params,
-                "adapter_params": self.adapter_params,
-                "prune_events": self.prune_events,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "EvalPoint":
-        raw = json.loads(line)
-        return cls(
-            step=int(raw["step"]),
-            loss=float(raw["loss"]),
-            accuracy=float(raw["accuracy"]),
-            nonzero_params=int(raw["nonzero_params"]),
-            adapter_params=int(raw["adapter_params"]),
-            prune_events=list(raw["prune_events"]),
-        )
+        return cls(**json.loads(line))
 
 
 @dataclass
@@ -148,23 +121,23 @@ class RunRecord:
     best_step: int
     mid_checkpoint: bytes | None = None
 
-    @property
-    def init_loss(self) -> float:
+    def _points(self) -> list[EvalPoint]:
+        """The evaluation points; a record without any has no results to give."""
         if not self.eval_points:
             raise ParameterError("run record has no evaluation points")
-        return self.eval_points[0].loss
+        return self.eval_points
+
+    @property
+    def init_loss(self) -> float:
+        return self._points()[0].loss
 
     @property
     def final_loss(self) -> float:
-        if not self.eval_points:
-            raise ParameterError("run record has no evaluation points")
-        return self.eval_points[-1].loss
+        return self._points()[-1].loss
 
     @property
     def final_accuracy(self) -> float:
-        if not self.eval_points:
-            raise ParameterError("run record has no evaluation points")
-        return self.eval_points[-1].accuracy
+        return self._points()[-1].accuracy
 
     @property
     def seconds_per_step(self) -> float:
@@ -296,9 +269,7 @@ def evaluate(model: ToyModel, task: TaskData, batch_size: int = 64) -> dict:
 
 def steps_to_peak(record: RunRecord) -> int:
     """Step of the best eval accuracy; earlier step wins a tie."""
-    if not record.eval_points:
-        raise ParameterError("run record has no evaluation points")
-    best = max(record.eval_points, key=lambda p: (p.accuracy, -p.step))
+    best = max(record._points(), key=lambda p: (p.accuracy, -p.step))
     return best.step
 
 
@@ -392,13 +363,7 @@ def train(
                 state[name] = EmaState(vec.copy(), decay=cfg.ema_decay)
                 return
             prev = EmaState.zeros(vec.shape[0], decay=cfg.ema_decay)
-            state[name] = prev
-        # norms arrive finite and nonnegative from the forward pass and the
-        # widths are fixed by the model, so revalidating on every step would
-        # only burn time; same two ufuncs ema_update applies, run in place
-        xbar = prev.xbar
-        xbar *= prev.decay
-        xbar += prev.update_weight * vec
+        state[name] = ema_update(prev, vec)
 
     def snapshot(step: int) -> bytes:
         return checkpoint_mod.capture_state(
@@ -456,25 +421,8 @@ def train(
 
             events: list[dict] = []
             if should_prune(step, cfg.prune):
-                for name, pair in model.adapters.items():
-                    if strategy == "prilora_A":
-                        scores = importance(pair.A.data, ema_input[name].xbar)
-                        mask = build_mask(scores, cfg.prune.prune_ratio, event_step=step)
-                        pair.A.data[...] = apply_mask(pair.A.data, mask)
-                    else:
-                        xbar = ema_latent[name].xbar if want_latent else None
-                        mask = ablation_prune(
-                            pair, xbar, cfg.prune, rngs["prune"], event_step=step
-                        )
-                    events.append(
-                        {
-                            "step": step,
-                            "layer": name,
-                            "strategy": strategy,
-                            "ratio": cfg.prune.prune_ratio,
-                            "zeros_written": mask.zeros_written,
-                        }
-                    )
+                xbars = ema_input if strategy == "prilora_A" else ema_latent
+                events = prune_event(model.adapters, cfg.prune, xbars, rngs["prune"], step)
                 if prune_observer is not None:
                     prune_observer(step, model, events)
             train_seconds += time.perf_counter() - t0

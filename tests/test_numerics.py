@@ -290,6 +290,12 @@ def test_tensor_bytes_truncation_and_trailing_errors():
         tensor_from_bytes(blob + b"\x00")
     with pytest.raises(ShapeError):
         tensor_from_bytes(blob[:3])
+    # shapes whose element count or extent no index can hold
+    for shape in [(2**32, 2**32), (2**63,), (0, 2**64 - 1)]:
+        head = len(shape).to_bytes(4, "little")
+        head += b"".join(extent.to_bytes(8, "little") for extent in shape)
+        with pytest.raises(ShapeError):
+            tensor_from_bytes(head + bytes(64))
 
 
 def test_stream_read_write_multiple():

@@ -302,13 +302,36 @@ def test_pruning_writes_zeros_into_a(task):
         assert (zeros_per_row >= pair.d2 // 2).all()
 
 
-def test_b_row_ablation_prunes_b(task):
-    cfg = small_cfg(steps=5, eval_interval=5, prune=PruneConfig(0.5, 5, "B_rows"))
+@pytest.mark.parametrize("strategy", ["prilora_A", "random_A_cols", "B_rows", "B_cols"])
+def test_b_row_ablation_prunes_b(task, strategy):
+    """Every strategy runs through train() and zeroes its own factor only."""
+    ratio = 0.5
+    cfg = small_cfg(steps=5, eval_interval=5, prune=PruneConfig(ratio, 5, strategy))
     model = build_model(cfg, DIMS)
-    train(model, task, cfg)
-    for pair in model.adapters.values():
-        zeros_per_row = (pair.B.data == 0).sum(axis=1)
-        assert (zeros_per_row >= pair.rank // 2).all()
+    seen = []
+
+    def observer(step, model, events):
+        for event in events:
+            pair = model.adapters[event["layer"]]
+            seen.append((event, pair.A.data == 0, pair.B.data == 0))
+
+    train(model, task, cfg, prune_observer=observer)
+    assert [event["layer"] for event, _, _ in seen] == list(model.adapters)
+    for event, a_zero, b_zero in seen:
+        pair = model.adapters[event["layer"]]
+        assert (event["step"], event["strategy"], event["ratio"]) == (5, strategy, ratio)
+        if strategy in ("prilora_A", "random_A_cols"):
+            per_row = math.floor(ratio * pair.d2)
+            assert event["zeros_written"] == pair.rank * per_row
+            assert (a_zero.sum(axis=1) == per_row).all() and not b_zero.any()
+        elif strategy == "B_rows":
+            per_row = math.floor(ratio * pair.rank)
+            assert event["zeros_written"] == pair.d1 * per_row
+            assert (b_zero.sum(axis=1) == per_row).all() and not a_zero.any()
+        else:
+            per_col = math.floor(ratio * pair.d1)
+            assert event["zeros_written"] == pair.rank * per_col
+            assert (b_zero.sum(axis=0) == per_col).all() and not a_zero.any()
 
 
 def test_prune_observer_sees_each_event(task):
