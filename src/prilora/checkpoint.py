@@ -97,7 +97,8 @@ def _fields(obj, **types) -> dict:
 def _parse(blob: bytes, model) -> tuple[dict, dict[str, np.ndarray]]:
     """Header and tensors of a checkpoint, checked against the live model: the
     type of each header field restore_state reads, the plan and adapter layout,
-    and every tensor it reads (parameter and optimizer ones at live shapes)."""
+    and every tensor it reads at its live shape (an EMA entry must name a live
+    adapter and hold its input width, or its rank for the latent)."""
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise FormatError("not a checkpoint: bad magic")
     (version,) = struct.unpack_from("<I", blob, 4)
@@ -146,15 +147,19 @@ def _parse(blob: bytes, model) -> tuple[dict, dict[str, np.ndarray]]:
     if fp.read(1):
         raise FormatError("trailing bytes after checkpoint payload")
 
-    # every tensor restore_state reads, at its live shape (EMA widths unpinned)
     params = model.trainable()
     needed = {f"param/{pname}": t.shape for pname, t in params.items()}
     needed.update({f"opt/{slot}/{p}": t.shape for slot in opt["slots"] for p, t in params.items()})
-    needed.update({f"{g}/{e['name']}": None for g in ("ema_input", "ema_latent") for e in header[g]})
+    for group, width in (("ema_input", "d2"), ("ema_latent", "rank")):
+        for entry in header[group]:
+            pair = model.adapters.get(entry["name"])
+            if pair is None:
+                raise FormatError(f"checkpoint {group}/{entry['name']}: no such adapter")
+            needed[f"{group}/{entry['name']}"] = (getattr(pair, width),)
     for key, shape in needed.items():
         if key not in arrays:
             raise FormatError(f"checkpoint is missing tensor {key}")
-        if shape not in (None, arrays[key].shape):
+        if arrays[key].shape != shape:
             raise FormatError(f"tensor {key}: saved shape {arrays[key].shape} != live {shape}")
     return header, arrays
 

@@ -51,6 +51,13 @@ ABLATION_VARIANTS = (
     "prune_B_cols",
     "random_A_cols",
 )
+# the grid variants that keep the plan and swap the prune strategy
+_VARIANT_STRATEGY = {
+    "no_pruning": "none",
+    "prune_B_rows": "B_rows",
+    "prune_B_cols": "B_cols",
+    "random_A_cols": "random_A_cols",
+}
 
 
 @dataclass(frozen=True)
@@ -318,7 +325,7 @@ def ablation_config(cfg: dict, variant: str) -> dict:
     if cfg["plan.kind"] != "linear":
         raise ConfigError("the ablation grid needs plan.kind = linear as its base")
     out = dict(cfg)
-    out["prune.strategy"] = "prilora_A"
+    out["prune.strategy"] = _VARIANT_STRATEGY.get(variant, "prilora_A")
     if variant in ("fixed", "concentrated"):
         base_plan = build_plan(cfg)
         if base_plan.budget_avg is None:
@@ -334,14 +341,6 @@ def ablation_config(cfg: dict, variant: str) -> dict:
             out["plan.last_rank"] = min(3 * base_plan.budget_avg, cap)
     elif variant == "inverted":
         out["plan.kind"] = "inverted"
-    elif variant == "no_pruning":
-        out["prune.strategy"] = "none"
-    elif variant == "prune_B_rows":
-        out["prune.strategy"] = "B_rows"
-    elif variant == "prune_B_cols":
-        out["prune.strategy"] = "B_cols"
-    elif variant == "random_A_cols":
-        out["prune.strategy"] = "random_A_cols"
     return out
 
 

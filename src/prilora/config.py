@@ -9,10 +9,13 @@ Files look like::
     plan.last_rank = 6
     prune.ratio = 0.5
 
-Every key has a typed default below; unknown keys and duplicates are
-errors, so a config never silently misspells a parameter. After the file
-is read, any PRILORA_* environment variable overrides the matching key
-(dots become double underscores: prune.ratio -> PRILORA_PRUNE__RATIO).
+An unset key takes the default of the library dataclass field it sets
+(``FIELDS``), so a config file and a library call that both omit a setting
+run the same; keys with no field carry their own default. Unknown keys and
+duplicates are errors, so a config never silently misspells a parameter.
+After the file is read, any PRILORA_* environment variable overrides the
+matching key (dots become double underscores: prune.ratio ->
+PRILORA_PRUNE__RATIO).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import os
 from typing import Mapping
 
 from .errors import ConfigError
-from .model import MATRIX_KINDS, ModelDims
+from .model import ModelDims
 from .prune_engine import PruneConfig
 from .rank_plan import (
     RankPlan,
@@ -39,6 +42,7 @@ __all__ = [
     "CONFIG_VERSION",
     "ENV_PREFIX",
     "DEFAULTS",
+    "FIELDS",
     "parse_config_text",
     "apply_env_overrides",
     "load_config",
@@ -52,43 +56,50 @@ __all__ = [
 CONFIG_VERSION = 1
 ENV_PREFIX = "PRILORA_"
 
-# Key -> default. The default's Python type decides how values are coerced;
-# a seed of -1 on the task means "follow the run seed".
+# Config key -> the (dataclass, field) it sets.
+FIELDS: dict[str, tuple[type, str]] = {
+    "task.vocab_size": (SyntheticTask, "vocab_size"),
+    "task.seq_len": (SyntheticTask, "seq_len"),
+    "task.train_count": (SyntheticTask, "train_count"),
+    "task.eval_count": (SyntheticTask, "eval_count"),
+    "model.layers": (ModelDims, "num_layers"),
+    "model.d_model": (ModelDims, "d_model"),
+    "model.heads": (ModelDims, "num_heads"),
+    "model.d_ff": (ModelDims, "d_ff"),
+    "prune.strategy": (PruneConfig, "strategy"),
+    "prune.ratio": (PruneConfig, "prune_ratio"),
+    "prune.interval": (PruneConfig, "interval_steps"),
+    "train.steps": (TrainConfig, "steps"),
+    "train.lr": (TrainConfig, "lr"),
+    "train.batch_size": (TrainConfig, "batch_size"),
+    "train.optimizer": (TrainConfig, "optimizer"),
+    "train.eval_interval": (TrainConfig, "eval_interval"),
+    "train.schedule": (TrainConfig, "schedule"),
+    "train.warmup_steps": (TrainConfig, "warmup_steps"),
+    "train.ema_decay": (TrainConfig, "ema_decay"),
+    "train.ema_init_first_batch": (TrainConfig, "ema_init_first_batch"),
+    "train.trajectory_coords": (TrainConfig, "trajectory_coords"),
+    "adapter.std": (TrainConfig, "adapter_std"),
+    "adapter.scale": (TrainConfig, "adapter_scale"),
+}
+
+
+# Key -> default, from the field's class attribute where the key has a field.
+# The default's Python type decides how values are coerced; a seed of -1 on
+# the task means "follow the run seed".
 DEFAULTS: dict[str, object] = {
     "config_version": CONFIG_VERSION,
     "name": "run",
     "seed": 0,
     "task.kind": "token_majority",
-    "task.vocab_size": 16,
-    "task.seq_len": 16,
-    "task.train_count": 2000,
-    "task.eval_count": 512,
     "task.seed": -1,
-    "model.layers": 2,
-    "model.d_model": 32,
-    "model.heads": 2,
-    "model.d_ff": 64,
     "plan.kind": "linear",
     "plan.first_rank": 2,
     "plan.last_rank": 6,
     "plan.rank": 4,
     "plan.ranks": "",
-    "prune.strategy": "prilora_A",
-    "prune.ratio": 0.5,
-    "prune.interval": 40,
-    "train.steps": 500,
-    "train.lr": 5e-3,
-    "train.batch_size": 16,
-    "train.optimizer": "adam",
-    "train.eval_interval": 50,
-    "train.schedule": "linear",
-    "train.warmup_steps": 50,
-    "train.ema_decay": 0.9,
-    "train.ema_init_first_batch": False,
-    "train.trajectory_coords": 0,
-    "adapter.std": 0.02,
-    "adapter.scale": 1.0,
-    "adapter.kinds": ",".join(MATRIX_KINDS),
+    **{key: getattr(cls, name) for key, (cls, name) in FIELDS.items()},
+    "adapter.kinds": ",".join(TrainConfig.adapt_kinds),
 }
 
 
@@ -222,30 +233,28 @@ def build_plan(cfg: Mapping[str, object], num_layers: int | None = None) -> Rank
     )
 
 
+def _kwargs(cfg: Mapping[str, object], cls: type) -> dict[str, object]:
+    """cls's fields that config keys set, each read as its default's type."""
+    return {
+        name: type(DEFAULTS[key])(cfg[key]) for key, (owner, name) in FIELDS.items() if owner is cls
+    }
+
+
 def build_task(cfg: Mapping[str, object], run_seed: int) -> SyntheticTask:
     task_seed = int(cfg["task.seed"])
-    if task_seed < 0:
-        task_seed = run_seed
     return SyntheticTask(
         kind=str(cfg["task.kind"]),
-        vocab_size=int(cfg["task.vocab_size"]),
-        seq_len=int(cfg["task.seq_len"]),
-        train_count=int(cfg["task.train_count"]),
-        eval_count=int(cfg["task.eval_count"]),
-        seed=task_seed,
+        seed=run_seed if task_seed < 0 else task_seed,
+        **_kwargs(cfg, SyntheticTask),
     )
 
 
 def build_dims(cfg: Mapping[str, object], task: SyntheticTask) -> ModelDims:
-    num_outputs = 1 if task.kind == "linear_probe" else 2
     return ModelDims(
-        num_layers=int(cfg["model.layers"]),
-        d_model=int(cfg["model.d_model"]),
-        num_heads=int(cfg["model.heads"]),
-        d_ff=int(cfg["model.d_ff"]),
         vocab_size=task.vocab_size,
         seq_len=task.seq_len,
-        num_outputs=num_outputs,
+        num_outputs=1 if task.kind == "linear_probe" else 2,
+        **_kwargs(cfg, ModelDims),
     )
 
 
@@ -253,26 +262,10 @@ def build_train_config(cfg: Mapping[str, object], plan: RankPlan, seed: int) -> 
     kinds = tuple(
         piece.strip() for piece in str(cfg["adapter.kinds"]).split(",") if piece.strip()
     )
-    prune = PruneConfig(
-        prune_ratio=float(cfg["prune.ratio"]),
-        interval_steps=int(cfg["prune.interval"]),
-        strategy=str(cfg["prune.strategy"]),
-    )
     return TrainConfig(
         plan=plan,
-        prune=prune,
-        lr=float(cfg["train.lr"]),
-        batch_size=int(cfg["train.batch_size"]),
-        steps=int(cfg["train.steps"]),
-        optimizer=str(cfg["train.optimizer"]),
+        prune=PruneConfig(**_kwargs(cfg, PruneConfig)),
         seed=seed,
-        eval_interval=int(cfg["train.eval_interval"]),
-        schedule=str(cfg["train.schedule"]),
-        warmup_steps=int(cfg["train.warmup_steps"]),
-        adapter_std=float(cfg["adapter.std"]),
-        adapter_scale=float(cfg["adapter.scale"]),
         adapt_kinds=kinds,
-        ema_decay=float(cfg["train.ema_decay"]),
-        ema_init_first_batch=bool(cfg["train.ema_init_first_batch"]),
-        trajectory_coords=int(cfg["train.trajectory_coords"]),
+        **_kwargs(cfg, TrainConfig),
     )

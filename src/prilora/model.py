@@ -136,37 +136,31 @@ class ToyModel:
         return cls(dims, plan, embed, pos, blocks, adapters, head_w, head_b)
 
     def _apply(
-        self,
-        name: str,
-        layer: FrozenLinear,
-        x: Tensor,
-        stats: dict | None,
-        want_input: bool,
-        want_latent: bool,
-    ) -> Tensor:
-        pair = self.adapters.get(name)
-        if pair is not None and stats is not None:
-            if want_input:
-                # wq/wk/wv read the same activation; compute its norm once
-                cache = stats["_norm_cache"]
-                key = id(x.data)
-                norm = cache.get(key)
-                if norm is None:
-                    norm = cache[key] = prune_engine.batch_input_norm(x.data)
-                stats["input"][name] = norm
-            if want_latent:
-                # The latent entering B; recomputed outside the gradient tape.
-                latent = x.data @ pair.A.data.T
-                stats["latent"][name] = prune_engine.batch_input_norm(latent)
-        return adapter_forward(layer, pair, x)
+        self, i: int, kinds: tuple[str, ...], x: Tensor, norms: str | None, stats: dict
+    ) -> list[Tensor]:
+        """Block i's matrices of the given kinds, each applied to x, the input
+        they share; each adapted one's norms of the given source go to stats."""
+        names = [f"blocks.{i}.{kind}" for kind in kinds]
+        adapted = [name for name in names if name in self.adapters]
+        if norms == "input" and adapted:
+            # wq/wk/wv read the same activation; compute its norm once
+            stats.update(dict.fromkeys(adapted, prune_engine.batch_input_norm(x.data)))
+        elif norms == "latent":
+            for name in adapted:
+                # the latent entering B; recomputed outside the gradient tape
+                latent = x.data @ self.adapters[name].A.data.T
+                stats[name] = prune_engine.batch_input_norm(latent)
+        block = self.blocks[i]
+        return [
+            adapter_forward(block[kind], self.adapters.get(name), x)
+            for kind, name in zip(kinds, names)
+        ]
 
     def forward(
-        self,
-        tokens: np.ndarray,
-        want_input_norms: bool = False,
-        want_latent_norms: bool = False,
-    ) -> tuple[Tensor, dict | None]:
-        """Logits for a token batch, plus per-matrix norm statistics if asked."""
+        self, tokens: np.ndarray, norms: str | None = None
+    ) -> tuple[Tensor, dict[str, np.ndarray]]:
+        """Logits for a token batch, plus each adapted matrix's norm vector from
+        the source norms names, as prune_engine.tracked_norms does (None: none)."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
@@ -178,31 +172,26 @@ class ToyModel:
         if tokens.min() < 0 or tokens.max() >= self.dims.vocab_size:
             raise ParameterError(f"token ids must lie in [0, {self.dims.vocab_size})")
 
-        collect = want_input_norms or want_latent_norms
-        stats: dict | None = (
-            {"input": {}, "latent": {}, "_norm_cache": {}} if collect else None
-        )
+        stats: dict[str, np.ndarray] = {}
         heads, dh = self.dims.num_heads, self.dims.d_model // self.dims.num_heads
 
         x = Tensor(self.embed[tokens] + self.pos[:n])
-        for i, block in enumerate(self.blocks):
+        for i in range(len(self.blocks)):
             h = numerics.layernorm(x)
-            q = self._apply(f"blocks.{i}.wq", block["wq"], h, stats, want_input_norms, want_latent_norms)
-            k = self._apply(f"blocks.{i}.wk", block["wk"], h, stats, want_input_norms, want_latent_norms)
-            v = self._apply(f"blocks.{i}.wv", block["wv"], h, stats, want_input_norms, want_latent_norms)
+            q, k, v = self._apply(i, ("wq", "wk", "wv"), h, norms, stats)
             q = q.reshape(b, n, heads, dh).swapaxes(1, 2)
             k = k.reshape(b, n, heads, dh).swapaxes(1, 2)
             v = v.reshape(b, n, heads, dh).swapaxes(1, 2)
             scores = numerics.matmul(q, k.swapaxes(-1, -2)) * (dh**-0.5)
             attn = numerics.softmax(scores, axis=-1)
             ctx = numerics.matmul(attn, v).swapaxes(1, 2).reshape(b, n, self.dims.d_model)
-            x = x + self._apply(f"blocks.{i}.wo", block["wo"], ctx, stats, want_input_norms, want_latent_norms)
+            (proj,) = self._apply(i, ("wo",), ctx, norms, stats)
+            x = x + proj
 
             h2 = numerics.layernorm(x)
-            f = numerics.relu(
-                self._apply(f"blocks.{i}.w1", block["w1"], h2, stats, want_input_norms, want_latent_norms)
-            )
-            x = x + self._apply(f"blocks.{i}.w2", block["w2"], f, stats, want_input_norms, want_latent_norms)
+            (up,) = self._apply(i, ("w1",), h2, norms, stats)
+            (proj,) = self._apply(i, ("w2",), numerics.relu(up), norms, stats)
+            x = x + proj
 
         pooled = numerics.layernorm(x.mean(axis=1))
         logits = numerics.matmul(pooled, self.head_w.transpose()) + self.head_b

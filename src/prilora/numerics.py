@@ -171,9 +171,6 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return _reduce(self, axis, keepdims, mean=True)
 
-    def relu(self) -> "Tensor":
-        return relu(self)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"

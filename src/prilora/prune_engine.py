@@ -8,9 +8,10 @@ Zeroed entries stay trainable: gradients and optimizer state are untouched,
 so a weight that matters later can grow back.
 
 The ablation strategies (random column choice, pruning B by rows or by
-columns) live here too, sharing the same mask machinery, and so does the
-per-event dispatch: ``prune_event`` prunes every adapter under the configured
-strategy and returns one event record per adapter.
+columns) live here too, sharing the same mask machinery, and so do the two
+decisions a strategy drives: ``tracked_norms`` names the norms a run must
+track for it, and ``prune_event`` prunes every adapter under it and returns
+one event record per adapter.
 """
 
 from __future__ import annotations
@@ -36,11 +37,15 @@ __all__ = [
     "build_mask",
     "apply_mask",
     "should_prune",
+    "tracked_norms",
     "ablation_prune",
     "prune_event",
 ]
 
 STRATEGIES = ("prilora_A", "random_A_cols", "B_rows", "B_cols", "none")
+
+# the norms each importance-scored strategy ranks its pruned factor's entries by
+_NORM_SOURCE = {"prilora_A": "input", "B_rows": "latent", "B_cols": "latent"}
 
 
 def _as_matrix(value) -> np.ndarray:
@@ -86,7 +91,6 @@ class PruneMask:
     """
 
     M: np.ndarray
-    event_step: int = 0
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.M)
@@ -183,7 +187,7 @@ def importance(A, xbar: np.ndarray) -> np.ndarray:
     return np.abs(mat) * xbar[None, :]
 
 
-def build_mask(S, prune_ratio: float, event_step: int = 0) -> PruneMask:
+def build_mask(S, prune_ratio: float) -> PruneMask:
     """Mark the n lowest-scoring entries of each row, n = floor(ratio * width).
 
     Ties resolve toward the lower column index, so masks are deterministic
@@ -199,7 +203,7 @@ def build_mask(S, prune_ratio: float, event_step: int = 0) -> PruneMask:
         # Stable sort keeps equal scores in column order: lower index first.
         order = np.argsort(scores, axis=1, kind="stable")
         np.put_along_axis(mask, order[:, :n], 1, axis=1)
-    return PruneMask(mask, event_step=event_step)
+    return PruneMask(mask)
 
 
 def apply_mask(A, mask: PruneMask) -> np.ndarray:
@@ -210,11 +214,24 @@ def apply_mask(A, mask: PruneMask) -> np.ndarray:
     return np.where(mask.M == 1, 0.0, mat)
 
 
+def _inactive(cfg: PruneConfig) -> bool:
+    return cfg.strategy == "none" or cfg.prune_ratio == 0.0
+
+
 def should_prune(step: int, cfg: PruneConfig) -> bool:
     """True on every interval boundary from the first one onward."""
-    if cfg.strategy == "none" or cfg.prune_ratio == 0.0:
+    if _inactive(cfg):
         return False
     return step >= 1 and step % cfg.interval_steps == 0
+
+
+def tracked_norms(cfg: PruneConfig) -> str | None:
+    """The norms a run under cfg tracks for its prune events: "input" (each
+    adapted layer's input, for prilora_A), "latent" (the latent entering B, for
+    B_rows and B_cols), or None when no event reads one."""
+    if _inactive(cfg):
+        return None
+    return _NORM_SOURCE.get(cfg.strategy)
 
 
 def ablation_prune(
@@ -222,7 +239,6 @@ def ablation_prune(
     xbar_for_target: np.ndarray,
     cfg: PruneConfig,
     rng: Rng | None = None,
-    event_step: int = 0,
 ) -> PruneMask:
     """Run one of the control strategies in place of the standard A pruning.
 
@@ -240,13 +256,13 @@ def ablation_prune(
         mask = np.zeros((r, d2), dtype=np.uint8)
         for i in range(r):
             mask[i, rng.permutation(d2)[:n]] = 1
-        target, pm = adapter.A, PruneMask(mask, event_step=event_step)
+        target, pm = adapter.A, PruneMask(mask)
     elif cfg.strategy in ("B_rows", "B_cols"):
         target, S = adapter.B, importance(adapter.B.data, xbar_for_target)
         if cfg.strategy == "B_rows":
-            pm = build_mask(S, cfg.prune_ratio, event_step=event_step)
+            pm = build_mask(S, cfg.prune_ratio)
         else:
-            pm = PruneMask(build_mask(S.T, cfg.prune_ratio).M.T, event_step=event_step)
+            pm = PruneMask(build_mask(S.T, cfg.prune_ratio).M.T)
     else:
         raise ConfigError(
             f"strategy {cfg.strategy!r} is not an ablation pruner; "
@@ -265,19 +281,17 @@ def prune_event(
 ) -> list[dict]:
     """Prune every adapter once under cfg.strategy; one event record each.
 
-    xbars holds each layer's tracked norms of the pruned factor's input: the
-    layer input for prilora_A, the latent for B_rows and B_cols; random_A_cols
-    draws from rng instead.
+    xbars holds each layer's EMA of the norms its strategy scores with (see
+    tracked_norms); random_A_cols draws from rng instead.
     """
     events: list[dict] = []
     for name, pair in adapters.items():
+        xbar = xbars[name].xbar if cfg.strategy in _NORM_SOURCE else None
         if cfg.strategy == "prilora_A":
-            scores = importance(pair.A.data, xbars[name].xbar)
-            mask = build_mask(scores, cfg.prune_ratio, event_step=step)
+            mask = build_mask(importance(pair.A.data, xbar), cfg.prune_ratio)
             pair.A.data[...] = apply_mask(pair.A.data, mask)
         else:
-            xbar = None if cfg.strategy == "random_A_cols" else xbars[name].xbar
-            mask = ablation_prune(pair, xbar, cfg, rng, event_step=step)
+            mask = ablation_prune(pair, xbar, cfg, rng)
         events.append(
             {
                 "step": step,

@@ -1,9 +1,9 @@
 """The training loop that ties adapters, norm tracking, and pruning together.
 
-Each step runs in a fixed order: forward pass (collecting per-matrix input
-norms when the prune strategy needs them), EMA update, backward pass over
-adapters and head only, optimizer step, and then, on interval boundaries,
-the prune event itself. Evaluation happens on a separate cadence and never
+Each step runs in a fixed order: forward pass (collecting the per-matrix
+norms that prune_engine.tracked_norms names for the strategy), EMA update,
+backward pass over adapters and head only, optimizer step, and then, on
+interval boundaries, the prune event itself. Evaluation happens on a separate cadence and never
 touches the EMA statistics or the random streams.
 
 Runs are deterministic functions of the config: batch order, adapter init,
@@ -27,7 +27,7 @@ from .adapter import nonzero_param_count, trainable_param_count
 from .errors import ConfigError, NumericError, ParameterError, TrainingDiverged
 from .model import MATRIX_KINDS, ModelDims, ToyModel, layer_shapes
 from .numerics import Rng, Tensor
-from .prune_engine import EmaState, PruneConfig, ema_update, prune_event, should_prune
+from .prune_engine import EmaState, PruneConfig, ema_update, prune_event, should_prune, tracked_norms
 from .rank_plan import RankPlan
 from .tasks import TaskData
 
@@ -324,19 +324,17 @@ def train(
         )
     params = model.trainable()
     optimizer = make_optimizer(cfg.optimizer, params)
-    strategy = cfg.prune.strategy
-    active = cfg.prune.prune_ratio > 0 and strategy != "none"
-    want_input = active and strategy == "prilora_A"
-    want_latent = active and strategy in ("B_rows", "B_cols")
-    ema_input: dict[str, EmaState] = {}
-    ema_latent: dict[str, EmaState] = {}
+    norms = tracked_norms(cfg.prune)
+    # a checkpoint carries both groups; the run feeds the one its strategy reads
+    emas: dict[str, dict[str, EmaState]] = {"input": {}, "latent": {}}
+    xbars = emas.get(norms, {})
     rngs = {"data": Rng(cfg.seed).child("data"), "prune": Rng(cfg.seed).child("prune")}
     adapter_params = trainable_param_count(model.plan, layer_shapes(model.dims, cfg.adapt_kinds))
 
     start_step = 0
     if resume_from is not None:
         start_step = checkpoint_mod.restore_state(
-            resume_from, model, optimizer, ema_input, ema_latent, rngs
+            resume_from, model, optimizer, emas["input"], emas["latent"], rngs
         )
         if start_step > cfg.steps:
             raise ConfigError(
@@ -356,18 +354,18 @@ def train(
     metrics_fp: IO[str] | None = open(metrics_path, "w") if metrics_path else None
     traj_fp: IO[str] | None = open(trajectory_path, "w") if trajectory_path else None
 
-    def observe(state: dict[str, EmaState], name: str, vec: np.ndarray) -> None:
-        prev = state.get(name)
+    def observe(name: str, vec: np.ndarray) -> None:
+        prev = xbars.get(name)
         if prev is None:
             if cfg.ema_init_first_batch:
-                state[name] = EmaState(vec.copy(), decay=cfg.ema_decay)
+                xbars[name] = EmaState(vec.copy(), decay=cfg.ema_decay)
                 return
             prev = EmaState.zeros(vec.shape[0], decay=cfg.ema_decay)
-        state[name] = ema_update(prev, vec)
+        xbars[name] = ema_update(prev, vec)
 
     def snapshot(step: int) -> bytes:
         return checkpoint_mod.capture_state(
-            model, optimizer, ema_input, ema_latent, step, rngs
+            model, optimizer, emas["input"], emas["latent"], step, rngs
         )
 
     def do_eval(step: int, events: list[dict]) -> None:
@@ -400,7 +398,7 @@ def train(
             tokens = task.train_tokens[idx]
             targets = task.train_targets[idx]
             try:
-                logits, stats = model.forward(tokens, want_input, want_latent)
+                logits, stats = model.forward(tokens, norms)
             except NumericError:
                 # exploded activations surface in the norm statistics
                 # before the loss itself goes non-finite
@@ -409,11 +407,8 @@ def train(
             loss_val = loss.item()
             if not math.isfinite(loss_val):
                 raise TrainingDiverged(step, last_good)
-            if stats is not None:
-                for name, vec in stats["input"].items():
-                    observe(ema_input, name, vec)
-                for name, vec in stats["latent"].items():
-                    observe(ema_latent, name, vec)
+            for name, vec in stats.items():
+                observe(name, vec)
             for p in params.values():
                 p.grad = None
             loss.backward()
@@ -421,7 +416,6 @@ def train(
 
             events: list[dict] = []
             if should_prune(step, cfg.prune):
-                xbars = ema_input if strategy == "prilora_A" else ema_latent
                 events = prune_event(model.adapters, cfg.prune, xbars, rngs["prune"], step)
                 if prune_observer is not None:
                     prune_observer(step, model, events)

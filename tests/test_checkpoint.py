@@ -216,6 +216,7 @@ def assert_rejected_untouched(blob):
 
 BLOB = make_blob(step=5)
 HEADER, TENSORS = split_blob(BLOB)
+WQ_XBAR = TENSORS["ema_input/blocks.0.wq"]  # width d2 = 16; the rank is 2
 READ_FIELDS = ("step", "plan", "adapters", "ema_input", "ema_latent", "optimizer", "rng", "tensors")
 
 
@@ -228,11 +229,21 @@ def edited(**fields):
     return with_header(BLOB, dict(HEADER, **fields))
 
 
+def with_ema(group, name, xbar):
+    """BLOB holding xbar as the group's EMA entry for name, added if new."""
+    tensors = {**TENSORS, f"{group}/{name}": xbar}
+    entries = [e for e in HEADER[group] if e["name"] != name] + [{"name": name, "decay": 0.9}]
+    return with_header(BLOB, dict(HEADER, **{group: entries, "tensors": list(tensors)}), tensors)
+
+
 MALFORMED = {
     "only_tensors_listed": lambda: with_header(BLOB, {"tensors": []}, {}),
     "tensors_not_a_list": lambda: with_header(BLOB, {"tensors": 5}),
     "header_not_an_object": lambda: with_header(BLOB, [HEADER]),
     "ema_input_tensors_missing": without_ema_input_tensors,
+    "ema_input_width_cut": lambda: with_ema("ema_input", "blocks.0.wq", WQ_XBAR[:3]),
+    "ema_input_for_a_missing_layer": lambda: with_ema("ema_input", "blocks.9.wq", WQ_XBAR),
+    "ema_latent_at_input_width": lambda: with_ema("ema_latent", "blocks.0.wq", WQ_XBAR),
     "step_a_string": lambda: edited(step="5"),
     "step_negative": lambda: edited(step=-1),
     "decay_out_of_range": lambda: edited(ema_input=[dict(e, decay=1.5) for e in HEADER["ema_input"]]),

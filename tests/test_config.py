@@ -1,10 +1,13 @@
 """Config parsing, environment overrides, and object construction."""
 
+import dataclasses
+
 import pytest
 
 from prilora.config import (
     CONFIG_VERSION,
     DEFAULTS,
+    FIELDS,
     apply_env_overrides,
     build_dims,
     build_plan,
@@ -16,7 +19,11 @@ from prilora.config import (
     resolved_text,
 )
 from prilora.errors import ConfigError
+from prilora.model import ModelDims
+from prilora.prune_engine import PruneConfig
 from prilora.rank_plan import deberta_base_preset
+from prilora.tasks import SyntheticTask
+from prilora.train_harness import TrainConfig
 
 MINIMAL = "config_version = 1\n"
 
@@ -212,3 +219,37 @@ def test_build_train_config_rejects_bad_values():
 
 def test_config_version_constant_matches_defaults():
     assert DEFAULTS["config_version"] == CONFIG_VERSION
+
+
+# -- one source of defaults ----------------------------------------------------
+
+
+def test_short_run_config_builds_with_default_warmup():
+    cfg = parse_config_text("config_version = 1\ntrain.steps = 30\n")
+    tc = build_train_config(cfg, build_plan(cfg), seed=0)
+    assert tc.steps == 30
+    assert tc.warmup_steps == 0
+
+
+def test_unset_keys_take_the_dataclass_defaults():
+    cfg = parse_config_text(MINIMAL)
+    plan = build_plan(cfg)
+    assert build_train_config(cfg, plan, seed=0) == TrainConfig(plan=plan, seed=0)
+    task = build_task(cfg, run_seed=0)
+    assert task == SyntheticTask(kind="token_majority", seed=0)
+    assert build_dims(cfg, task) == ModelDims()
+
+
+# fields set by something other than their own config key
+SET_OTHERWISE = {
+    TrainConfig: {"plan", "prune", "seed", "adapt_kinds"},  # plan.*, prune.*, seed, adapter.kinds
+    PruneConfig: set(),
+    ModelDims: {"vocab_size", "seq_len", "num_outputs"},  # follow the task
+    SyntheticTask: {"kind", "seed"},  # task.kind has no field default; task.seed = -1 follows the run
+}
+
+
+@pytest.mark.parametrize("cls", list(SET_OTHERWISE), ids=lambda cls: cls.__name__)
+def test_every_settable_field_has_a_config_key(cls):
+    keyed = {name for owner, name in FIELDS.values() if owner is cls}
+    assert keyed == {f.name for f in dataclasses.fields(cls)} - SET_OTHERWISE[cls]

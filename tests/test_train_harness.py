@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from prilora import prune_engine
 from prilora.errors import ConfigError, ParameterError, TrainingDiverged
 from prilora.model import MATRIX_KINDS, ModelDims, ToyModel
 from prilora.numerics import Rng, Tensor
-from prilora.prune_engine import PruneConfig
+from prilora.prune_engine import STRATEGIES, PruneConfig, tracked_norms
 from prilora.rank_plan import concentrated_plan, linear_plan, uniform_plan
 from prilora.tasks import SyntheticTask, TaskData
 from prilora.train_harness import (
@@ -141,6 +142,37 @@ def test_gradients_flow_to_adapters_and_head_only(task):
     for block in model.blocks:
         for kind in MATRIX_KINDS:
             assert block[kind].W0.grad is None
+
+
+NORM_SOURCE = {"prilora_A": "input", "random_A_cols": None, "B_rows": "latent",
+               "B_cols": "latent", "none": None}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_forward_collects_the_norms_the_strategy_tracks(task, strategy, monkeypatch):
+    prune = PruneConfig(0.5, 5, strategy)
+    norms = tracked_norms(prune)
+    assert norms == NORM_SOURCE[strategy]
+    assert tracked_norms(dataclasses.replace(prune, prune_ratio=0.0)) is None
+    # block 0 has rank 0, so only block 1 is adapted
+    model = build_model(small_cfg(plan=concentrated_plan(2, 12), prune=prune), DIMS)
+    calls = []
+    real = prune_engine.batch_input_norm
+    monkeypatch.setattr(prune_engine, "batch_input_norm", lambda x: calls.append(x) or real(x))
+    _, stats = model.forward(task.train_tokens[:8], norms)
+    if norms is None:
+        assert stats == {} and calls == []
+        return
+    assert set(stats) == set(model.adapters)
+    for name, vec in stats.items():
+        pair = model.adapters[name]
+        assert vec.shape == ((pair.d2,) if norms == "input" else (pair.rank,)), name
+    if norms == "input":
+        # wq, wk and wv read one activation: one norm, shared
+        assert stats["blocks.1.wq"] is stats["blocks.1.wk"] is stats["blocks.1.wv"]
+        assert len(calls) == 4
+    else:
+        assert len(calls) == len(MATRIX_KINDS)
 
 
 # -- schedules and optimizers -------------------------------------------------
