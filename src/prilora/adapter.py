@@ -34,21 +34,14 @@ __all__ = [
 
 @dataclass
 class FrozenLinear:
-    """A dense weight (and optional bias) that training must never touch."""
+    """A dense weight that training must never touch."""
 
     W0: Tensor
-    bias: Tensor | None = None
 
     def __post_init__(self) -> None:
         if self.W0.ndim != 2:
             raise ShapeError(f"frozen weight must be 2-D, got shape {self.W0.shape}")
-        if self.bias is not None and self.bias.shape != (self.W0.shape[0],):
-            raise ShapeError(
-                f"bias shape {self.bias.shape} does not match output width {self.W0.shape[0]}"
-            )
         self.W0.requires_grad = False
-        if self.bias is not None:
-            self.bias.requires_grad = False
 
     @property
     def out_features(self) -> int:
@@ -126,7 +119,7 @@ def init_adapter(
 
 
 def forward(layer: FrozenLinear, adapter: AdapterPair | None, x: Tensor) -> Tensor:
-    """Adapted affine map: x @ W0^T + scale * (x @ A^T) @ B^T (+ bias).
+    """Adapted linear map: x @ W0^T + scale * (x @ A^T) @ B^T.
 
     x carries features on the trailing axis (width d2); output width is d1.
     Passing adapter=None gives the frozen layer alone.
@@ -144,8 +137,6 @@ def forward(layer: FrozenLinear, adapter: AdapterPair | None, x: Tensor) -> Tens
             )
         latent = numerics.matmul(x, adapter.A.transpose())
         h = h + adapter.scale * numerics.matmul(latent, adapter.B.transpose())
-    if layer.bias is not None:
-        h = h + layer.bias
     return h
 
 
@@ -156,9 +147,7 @@ def merge(layer: FrozenLinear, adapter: AdapterPair) -> FrozenLinear:
             f"adapter ({adapter.d1}, {adapter.d2}) does not fit layer "
             f"({layer.out_features}, {layer.in_features})"
         )
-    merged = layer.W0.data + adapter.delta()
-    bias = Tensor(layer.bias.data.copy()) if layer.bias is not None else None
-    return FrozenLinear(W0=Tensor(merged), bias=bias)
+    return FrozenLinear(W0=Tensor(layer.W0.data + adapter.delta()))
 
 
 def trainable_param_count(

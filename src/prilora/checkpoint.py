@@ -2,7 +2,13 @@
 
 A checkpoint holds everything needed to continue a run bit-for-bit: the
 rank plan, every adapter factor, the classifier head, per-layer EMA norm
-states, optimizer slots, random-stream positions, and the step counter.
+vectors, optimizer slots, random-stream positions, and the step counter.
+
+The EMA vectors are saved under the norms the run tracks
+(``prune_engine.tracked_norms``): ``ema_input`` for input norms,
+``ema_latent`` for latent norms; the other group stays empty, and each entry
+records the run's decay. A resume whose config tracks other norms or uses
+another decay is refused.
 
 Layout: magic, format version, a canonical JSON header (sorted keys, no
 whitespace), then tensor payloads in the exact order the header lists.
@@ -19,12 +25,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, ShapeError
+from .errors import FormatError, ShapeError
 from .numerics import Rng, read_tensor, tensor_to_bytes
-from .prune_engine import EmaState
 
 MAGIC = b"PRLC"
 FORMAT_VERSION = 1
+EMA_GROUPS = {"input": "ema_input", "latent": "ema_latent"}
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "capture_state", "restore_state"]
 
@@ -32,21 +38,24 @@ __all__ = ["MAGIC", "FORMAT_VERSION", "capture_state", "restore_state"]
 def capture_state(
     model,
     optimizer,
-    ema_input: Mapping[str, EmaState],
-    ema_latent: Mapping[str, EmaState],
+    xbars: Mapping[str, np.ndarray],
+    norms: str | None,
+    decay: float,
     step: int,
     rngs: Mapping[str, Rng],
 ) -> bytes:
+    """The run's state as checkpoint bytes; xbars holds its EMA of the norms
+    it tracks (norms, as tracked_norms names them), each stepped with decay."""
     params = model.trainable()
     opt_state = optimizer.state_dict()
 
-    emas = {"ema_input": ema_input, "ema_latent": ema_latent}
+    emas = {group: xbars if source == norms else {} for source, group in EMA_GROUPS.items()}
     tensors: list[tuple[str, np.ndarray]] = []
     for pname, t in params.items():
         tensors.append((f"param/{pname}", t.data))
     for group, states in emas.items():
         for name in sorted(states):
-            tensors.append((f"{group}/{name}", states[name].xbar))
+            tensors.append((f"{group}/{name}", states[name]))
     for slot in opt_state["slots"]:
         for pname in params:
             tensors.append((f"opt/{slot}/{pname}", opt_state[slot][pname]))
@@ -72,7 +81,7 @@ def capture_state(
         "tensors": [name for name, _ in tensors],
     }
     for group, states in emas.items():
-        header[group] = [{"name": name, "decay": states[name].decay} for name in sorted(states)]
+        header[group] = [{"name": name, "decay": decay} for name in sorted(states)]
     head_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     out = bytearray()
     out += MAGIC
@@ -94,11 +103,15 @@ def _fields(obj, **types) -> dict:
     return obj
 
 
-def _parse(blob: bytes, model) -> tuple[dict, dict[str, np.ndarray]]:
-    """Header and tensors of a checkpoint, checked against the live model: the
+def _parse(
+    blob: bytes, model, norms: str | None, decay: float
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and tensors of a checkpoint, checked against the live run: the
     type of each header field restore_state reads, the plan and adapter layout,
-    and every tensor it reads at its live shape (an EMA entry must name a live
-    adapter and hold its input width, or its rank for the latent)."""
+    and every tensor it reads at its live shape. An EMA entry must name a live
+    adapter, hold its input width (or its rank for the latent) in finite,
+    nonnegative values, sit in the group of the norms the run tracks and carry
+    the run's decay."""
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise FormatError("not a checkpoint: bad magic")
     (version,) = struct.unpack_from("<I", blob, 4)
@@ -150,17 +163,28 @@ def _parse(blob: bytes, model) -> tuple[dict, dict[str, np.ndarray]]:
     params = model.trainable()
     needed = {f"param/{pname}": t.shape for pname, t in params.items()}
     needed.update({f"opt/{slot}/{p}": t.shape for slot in opt["slots"] for p, t in params.items()})
-    for group, width in (("ema_input", "d2"), ("ema_latent", "rank")):
-        for entry in header[group]:
-            pair = model.adapters.get(entry["name"])
-            if pair is None:
-                raise FormatError(f"checkpoint {group}/{entry['name']}: no such adapter")
-            needed[f"{group}/{entry['name']}"] = (getattr(pair, width),)
+    emas = {
+        f"{group}/{entry['name']}": (source, entry)
+        for source, group in EMA_GROUPS.items()
+        for entry in header[group]
+    }
+    for key, (source, entry) in emas.items():
+        pair = model.adapters.get(entry["name"])
+        if pair is None:
+            raise FormatError(f"checkpoint {key}: no such adapter")
+        needed[key] = (pair.d2 if source == "input" else pair.rank,)
     for key, shape in needed.items():
         if key not in arrays:
             raise FormatError(f"checkpoint is missing tensor {key}")
         if arrays[key].shape != shape:
             raise FormatError(f"tensor {key}: saved shape {arrays[key].shape} != live {shape}")
+    for key, (source, entry) in emas.items():
+        if not (np.isfinite(arrays[key]).all() and (arrays[key] >= 0).all()):
+            raise FormatError(f"checkpoint {key}: EMA entries must be finite and nonnegative")
+        if source != norms:
+            raise FormatError(f"checkpoint {key}: this run tracks {norms or 'no'} norms")
+        if entry["decay"] != decay:
+            raise FormatError(f"checkpoint {key}: decay {entry['decay']} != the run's {decay}")
     return header, arrays
 
 
@@ -168,29 +192,29 @@ def restore_state(
     blob: bytes,
     model,
     optimizer,
-    ema_input: dict[str, EmaState],
-    ema_latent: dict[str, EmaState],
+    xbars: dict[str, np.ndarray],
+    norms: str | None,
+    decay: float,
     rngs: Mapping[str, Rng],
 ) -> int:
     """Load a checkpoint into live objects; returns the stored step.
 
     The model must already be built with the same plan and adapter layout;
-    tensors are written in place so optimizer bindings stay valid. Every
-    check runs before the first write, so a rejected checkpoint leaves the
-    live objects as they were.
+    tensors are written in place so optimizer bindings stay valid. xbars
+    receives the saved EMA vectors; a checkpoint that tracks other norms than
+    norms, or another decay than decay, is refused. Every check runs before
+    the first write, so a rejected checkpoint leaves the live objects as they
+    were.
     """
-    header, arrays = _parse(blob, model)
+    header, arrays = _parse(blob, model, norms, decay)
     params = model.trainable()
 
-    live_emas = {"ema_input": ema_input, "ema_latent": ema_latent}
-    emas: dict[str, dict[str, EmaState]] = {group: {} for group in live_emas}
-    for group, states in emas.items():
-        for entry in header[group]:
-            key = f"{group}/{entry['name']}"
-            try:
-                states[entry["name"]] = EmaState(arrays[key], decay=entry["decay"])
-            except (ShapeError, ParameterError) as exc:
-                raise FormatError(f"checkpoint {key}: {exc}") from None
+    # _parse refused any entry outside the run's group, so this is that group
+    saved_xbars = {
+        entry["name"]: arrays[f"{group}/{entry['name']}"]
+        for group in EMA_GROUPS.values()
+        for entry in header[group]
+    }
     saved_rng = {tag: state for tag, state in header["rng"].items() if tag in rngs}
     for tag, state in saved_rng.items():
         try:
@@ -209,9 +233,8 @@ def restore_state(
     optimizer.load_state_dict(loaded)
     for pname, t in params.items():
         t.data[...] = arrays[f"param/{pname}"]
-    for group, live in live_emas.items():
-        live.clear()
-        live.update(emas[group])
+    xbars.clear()
+    xbars.update(saved_xbars)
     for tag, state in saved_rng.items():
         rngs[tag].set_state(state)
     return header["step"]

@@ -28,6 +28,7 @@ from .config import (
     build_train_config,
     load_config,
     resolved_text,
+    split_list,
 )
 from .errors import (
     BudgetError,
@@ -227,14 +228,16 @@ def _write_summary(group_dir: Path, summary: dict) -> None:
 
 
 def _parse_seeds(text: str | None, cfg: dict) -> tuple[int, ...]:
+    """The --seeds list, or the config's seed without one; each in [0, 2**64)."""
     if text is None:
-        return (int(cfg["seed"]),)
-    try:
-        seeds = tuple(int(piece) for piece in text.split(",") if piece.strip())
-    except ValueError as exc:
-        raise ConfigError(f"--seeds: {exc}") from None
+        seeds: tuple[int, ...] = (int(cfg["seed"]),)
+    else:
+        seeds = tuple(split_list(text, "--seeds", int))
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
+    for seed in seeds:
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seeds
 
 
@@ -275,10 +278,7 @@ def cmd_run(args) -> int:
 def _parse_ratios(text: str | None) -> list[float]:
     if text is None:
         raise ConfigError("sweep-ratio requires --ratios")
-    try:
-        ratios = [float(piece) for piece in text.split(",") if piece.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--ratios: {exc}") from None
+    ratios = split_list(text, "--ratios", float)
     if not ratios:
         raise ConfigError("--ratios must name at least one ratio")
     for ratio in ratios:

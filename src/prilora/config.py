@@ -21,7 +21,7 @@ PRILORA_PRUNE__RATIO).
 from __future__ import annotations
 
 import os
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import ConfigError
 from .model import ModelDims
@@ -47,6 +47,7 @@ __all__ = [
     "apply_env_overrides",
     "load_config",
     "resolved_text",
+    "split_list",
     "build_plan",
     "build_task",
     "build_dims",
@@ -196,10 +197,11 @@ def resolved_text(cfg: Mapping[str, object]) -> str:
 # Object builders
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    items = [piece.strip() for piece in str(text).split(",") if piece.strip()]
+def split_list(text, what: str, cast: Callable = str) -> list:
+    """The comma-separated items of text, blanks skipped, each read with cast;
+    a bad item raises ConfigError prefixed with what."""
     try:
-        return [int(piece) for piece in items]
+        return [cast(piece.strip()) for piece in str(text).split(",") if piece.strip()]
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from None
 
@@ -223,7 +225,7 @@ def build_plan(cfg: Mapping[str, object], num_layers: int | None = None) -> Rank
             )
         return preset
     if kind == "explicit":
-        ranks = _parse_int_list(str(cfg["plan.ranks"]), "plan.ranks")
+        ranks = split_list(cfg["plan.ranks"], "plan.ranks", int)
         if not ranks:
             raise ConfigError("plan.kind explicit requires plan.ranks")
         return explicit_plan(ranks)
@@ -259,13 +261,10 @@ def build_dims(cfg: Mapping[str, object], task: SyntheticTask) -> ModelDims:
 
 
 def build_train_config(cfg: Mapping[str, object], plan: RankPlan, seed: int) -> TrainConfig:
-    kinds = tuple(
-        piece.strip() for piece in str(cfg["adapter.kinds"]).split(",") if piece.strip()
-    )
     return TrainConfig(
         plan=plan,
         prune=PruneConfig(**_kwargs(cfg, PruneConfig)),
         seed=seed,
-        adapt_kinds=kinds,
+        adapt_kinds=tuple(split_list(cfg["adapter.kinds"], "adapter.kinds")),
         **_kwargs(cfg, TrainConfig),
     )

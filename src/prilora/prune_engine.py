@@ -1,11 +1,13 @@
 """Importance-driven pruning of adapter weights on a fixed step cadence.
 
 Each adapted layer tracks an exponential moving average of its input's
-per-feature L2 norms. At every prune event the engine scores each entry of
-the A factor as |A_ij| times the tracked norm of column j, then zeroes the
-lowest-scoring n entries of every row, where n is set by the prune ratio.
-Zeroed entries stay trainable: gradients and optimizer state are untouched,
-so a weight that matters later can grow back.
+per-feature L2 norms: a plain nonnegative vector, kept by the caller in one
+``{layer name: vector}`` dict and stepped by ``ema_update`` with the run's
+decay (``TrainConfig.ema_decay``, its one home). At every prune event the
+engine scores each entry of the A factor as |A_ij| times the tracked norm of
+column j, then zeroes the lowest-scoring n entries of every row, where n is
+set by the prune ratio. Zeroed entries stay trainable: gradients and
+optimizer state are untouched, so a weight that matters later can grow back.
 
 The ablation strategies (random column choice, pruning B by rows or by
 columns) live here too, sharing the same mask machinery, and so do the two
@@ -27,7 +29,6 @@ from .errors import ConfigError, NumericError, ParameterError, ShapeError
 from .numerics import Rng, Tensor
 
 __all__ = [
-    "EmaState",
     "PruneMask",
     "PruneConfig",
     "STRATEGIES",
@@ -56,32 +57,6 @@ def _as_matrix(value) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EmaState:
-    """Running per-feature input magnitude for one adapted layer."""
-
-    xbar: np.ndarray
-    decay: float = 0.9
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.xbar, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ShapeError(f"EMA state must be a vector, got shape {arr.shape}")
-        if (arr < 0).any():
-            raise ParameterError("EMA state entries must be nonnegative")
-        if not 0.0 < self.decay < 1.0:
-            raise ParameterError(f"decay must lie in (0, 1), got {self.decay}")
-        object.__setattr__(self, "xbar", arr)
-
-    @property
-    def update_weight(self) -> float:
-        return 1.0 - self.decay
-
-    @classmethod
-    def zeros(cls, width: int, decay: float = 0.9) -> "EmaState":
-        return cls(np.zeros(width), decay=decay)
-
-
-@dataclass(frozen=True)
 class PruneMask:
     """Which entries the last event zeroed: 1 = pruned.
 
@@ -106,15 +81,6 @@ class PruneMask:
         if not (rows_uniform or cols_uniform):
             raise ParameterError("mask must zero a uniform count per row or per column")
         object.__setattr__(self, "M", arr)
-
-    @property
-    def n_per_row(self) -> int:
-        counts = self.M.sum(axis=1)
-        if self.M.shape[0] == 0:
-            return 0
-        if not (counts == counts[0]).all():
-            raise ParameterError("mask is column-uniform, not row-uniform")
-        return int(counts[0])
 
     @property
     def zeros_written(self) -> int:
@@ -159,21 +125,14 @@ def batch_input_norm(X) -> np.ndarray:
     return out
 
 
-def ema_update(state: EmaState, x: np.ndarray) -> EmaState:
+def ema_update(xbar: np.ndarray, x: np.ndarray, decay: float) -> np.ndarray:
     """One decay step: xbar' = decay * xbar + (1 - decay) * x."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != state.xbar.shape:
-        raise ShapeError(
-            f"observation length {x.shape} does not match EMA state {state.xbar.shape}"
-        )
+    if x.shape != xbar.shape:
+        raise ShapeError(f"observation length {x.shape} does not match EMA state {xbar.shape}")
     if (x < 0).any():
         raise ParameterError("EMA observations must be nonnegative")
-    # the checks above already guarantee the EmaState invariants, and this
-    # runs once per adapted matrix per training step, so skip the constructor
-    out = object.__new__(EmaState)
-    object.__setattr__(out, "xbar", state.decay * state.xbar + state.update_weight * x)
-    object.__setattr__(out, "decay", state.decay)
-    return out
+    return decay * xbar + (1.0 - decay) * x
 
 
 def importance(A, xbar: np.ndarray) -> np.ndarray:
@@ -275,7 +234,7 @@ def ablation_prune(
 def prune_event(
     adapters: Mapping[str, AdapterPair],
     cfg: PruneConfig,
-    xbars: Mapping[str, EmaState],
+    xbars: Mapping[str, np.ndarray],
     rng: Rng | None,
     step: int,
 ) -> list[dict]:
@@ -286,7 +245,7 @@ def prune_event(
     """
     events: list[dict] = []
     for name, pair in adapters.items():
-        xbar = xbars[name].xbar if cfg.strategy in _NORM_SOURCE else None
+        xbar = xbars[name] if cfg.strategy in _NORM_SOURCE else None
         if cfg.strategy == "prilora_A":
             mask = build_mask(importance(pair.A.data, xbar), cfg.prune_ratio)
             pair.A.data[...] = apply_mask(pair.A.data, mask)

@@ -70,11 +70,6 @@ class RankPlan:
     def total(self) -> int:
         return sum(self.ranks)
 
-    def rank_for(self, layer: int) -> int:
-        if not 0 <= layer < len(self.ranks):
-            raise RankError(f"layer {layer} outside plan of {len(self.ranks)} layers")
-        return self.ranks[layer]
-
 
 def _check_layer_count(num_layers: int) -> None:
     if not isinstance(num_layers, int) or isinstance(num_layers, bool) or num_layers < 1:

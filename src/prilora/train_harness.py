@@ -3,8 +3,10 @@
 Each step runs in a fixed order: forward pass (collecting the per-matrix
 norms that prune_engine.tracked_norms names for the strategy), EMA update,
 backward pass over adapters and head only, optimizer step, and then, on
-interval boundaries, the prune event itself. Evaluation happens on a separate cadence and never
-touches the EMA statistics or the random streams.
+interval boundaries, the prune event itself. The EMA is one
+``{layer name: vector}`` dict, stepped with ``TrainConfig.ema_decay``.
+Evaluation happens on a separate cadence and never touches the EMA
+statistics or the random streams.
 
 Runs are deterministic functions of the config: batch order, adapter init,
 and prune randomness all come from child streams of the config seed, and a
@@ -27,7 +29,7 @@ from .adapter import nonzero_param_count, trainable_param_count
 from .errors import ConfigError, NumericError, ParameterError, TrainingDiverged
 from .model import MATRIX_KINDS, ModelDims, ToyModel, layer_shapes
 from .numerics import Rng, Tensor
-from .prune_engine import EmaState, PruneConfig, ema_update, prune_event, should_prune, tracked_norms
+from .prune_engine import PruneConfig, ema_update, prune_event, should_prune, tracked_norms
 from .rank_plan import RankPlan
 from .tasks import TaskData
 
@@ -313,9 +315,10 @@ def train(
     """Run the step loop; returns the full record plus checkpoints.
 
     checkpoint_at captures an extra snapshot right after that step, for
-    resuming under the same config. On a non-finite loss the loop aborts
-    with the last evaluated state attached, so callers can inspect or
-    restart from it.
+    resuming under the same config; a resume_from checkpoint that tracks
+    other norms or another EMA decay raises FormatError. On a non-finite
+    loss the loop aborts with the last evaluated state attached, so callers
+    can inspect or restart from it.
     """
     if task.num_outputs != model.dims.num_outputs:
         raise ConfigError(
@@ -325,16 +328,14 @@ def train(
     params = model.trainable()
     optimizer = make_optimizer(cfg.optimizer, params)
     norms = tracked_norms(cfg.prune)
-    # a checkpoint carries both groups; the run feeds the one its strategy reads
-    emas: dict[str, dict[str, EmaState]] = {"input": {}, "latent": {}}
-    xbars = emas.get(norms, {})
+    xbars: dict[str, np.ndarray] = {}
     rngs = {"data": Rng(cfg.seed).child("data"), "prune": Rng(cfg.seed).child("prune")}
     adapter_params = trainable_param_count(model.plan, layer_shapes(model.dims, cfg.adapt_kinds))
 
     start_step = 0
     if resume_from is not None:
         start_step = checkpoint_mod.restore_state(
-            resume_from, model, optimizer, emas["input"], emas["latent"], rngs
+            resume_from, model, optimizer, xbars, norms, cfg.ema_decay, rngs
         )
         if start_step > cfg.steps:
             raise ConfigError(
@@ -354,18 +355,9 @@ def train(
     metrics_fp: IO[str] | None = open(metrics_path, "w") if metrics_path else None
     traj_fp: IO[str] | None = open(trajectory_path, "w") if trajectory_path else None
 
-    def observe(name: str, vec: np.ndarray) -> None:
-        prev = xbars.get(name)
-        if prev is None:
-            if cfg.ema_init_first_batch:
-                xbars[name] = EmaState(vec.copy(), decay=cfg.ema_decay)
-                return
-            prev = EmaState.zeros(vec.shape[0], decay=cfg.ema_decay)
-        xbars[name] = ema_update(prev, vec)
-
     def snapshot(step: int) -> bytes:
         return checkpoint_mod.capture_state(
-            model, optimizer, emas["input"], emas["latent"], step, rngs
+            model, optimizer, xbars, norms, cfg.ema_decay, step, rngs
         )
 
     def do_eval(step: int, events: list[dict]) -> None:
@@ -408,7 +400,12 @@ def train(
             if not math.isfinite(loss_val):
                 raise TrainingDiverged(step, last_good)
             for name, vec in stats.items():
-                observe(name, vec)
+                prev = xbars.get(name)
+                if prev is None and cfg.ema_init_first_batch:
+                    xbars[name] = vec.copy()
+                else:
+                    prev = np.zeros_like(vec) if prev is None else prev
+                    xbars[name] = ema_update(prev, vec, cfg.ema_decay)
             for p in params.values():
                 p.grad = None
             loss.backward()

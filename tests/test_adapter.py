@@ -18,10 +18,8 @@ from prilora.prune_engine import build_mask, apply_mask
 from prilora.rank_plan import explicit_plan, linear_plan, uniform_plan
 
 
-def make_layer(d1, d2, seed=0, bias=False):
-    rng = Rng(seed)
-    b = Tensor(rng.child("bias").normal((d1,))) if bias else None
-    return FrozenLinear(Tensor(rng.child("w").normal((d1, d2))), bias=b)
+def make_layer(d1, d2, seed=0):
+    return FrozenLinear(Tensor(Rng(seed).child("w").normal((d1, d2))))
 
 
 def randomized_pair(d1, d2, r, seed=1):
@@ -35,7 +33,7 @@ def randomized_pair(d1, d2, r, seed=1):
 
 
 def test_init_starts_at_exact_zero_update():
-    layer = make_layer(6, 9, bias=True)
+    layer = make_layer(6, 9)
     pair = init_adapter(6, 9, 3, Rng(2))
     x = Tensor(Rng(3).normal((4, 9)))
     adapted = forward(layer, pair, x)
@@ -103,13 +101,12 @@ def test_forward_shape_errors():
         forward(layer, wrong, Tensor(Rng(2).normal((3, 8))))
 
 
-def test_forward_supports_batched_sequences_and_bias():
-    layer = make_layer(5, 8, bias=True)
+def test_forward_supports_batched_sequences():
+    layer = make_layer(5, 8)
     pair = randomized_pair(5, 8, 3)
     x = Rng(4).normal((2, 6, 8))
     out = forward(layer, pair, Tensor(x)).data
     expected = x @ layer.W0.data.T + pair.scale * (x @ pair.A.data.T) @ pair.B.data.T
-    expected += layer.bias.data
     assert np.abs(out - expected).max() < 1e-12
 
 
@@ -156,7 +153,7 @@ def test_merge_rank_one_ones_outer_product():
 
 
 def test_merge_equivalence_over_random_inputs():
-    layer = make_layer(7, 11, seed=13, bias=True)
+    layer = make_layer(7, 11, seed=13)
     pair = randomized_pair(7, 11, 4, seed=14)
     merged = merge(layer, pair)
     rng = Rng(15)

@@ -3,6 +3,7 @@
 import io
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ from prilora.checkpoint import FORMAT_VERSION, MAGIC, capture_state, restore_sta
 from prilora.errors import FormatError
 from prilora.model import ModelDims, ToyModel
 from prilora.numerics import Rng, read_tensor, tensor_to_bytes
-from prilora.prune_engine import EmaState
 from prilora.rank_plan import linear_plan, uniform_plan
 from prilora.train_harness import make_optimizer
 
 DIMS = ModelDims(num_layers=2, d_model=16, num_heads=2, d_ff=32,
                  vocab_size=8, seq_len=8, num_outputs=2)
+DECAY = 0.9
 
 
 def fresh(plan=None, seed=3):
@@ -28,8 +29,9 @@ def fresh(plan=None, seed=3):
     return model, optimizer
 
 
-def populated_state(seed=3):
-    """A model with distinctive values in every saved slot."""
+def populated_state(seed=3, norms="input"):
+    """A model with distinctive values in every saved slot; the EMA tracks
+    norms (each adapter's input width, or its rank for the latent)."""
     model, optimizer = fresh(seed=seed)
     rng = Rng(1000 + seed)
     model.head_w.data[...] = rng.child("hw").normal(model.head_w.shape)
@@ -40,19 +42,18 @@ def populated_state(seed=3):
         for t in model.trainable().values():
             t.grad = rng.child("g").normal(t.shape)
         optimizer.step(1e-3)
-    ema_input = {
-        name: EmaState(np.abs(rng.child(f"e/{name}").normal((pair.d2,))))
+    xbars = {
+        name: np.abs(rng.child(f"e/{name}").normal((pair.d2 if norms == "input" else pair.rank,)))
         for name, pair in model.adapters.items()
     }
-    ema_latent = {}
     rngs = {"data": Rng(7).child("data"), "prune": Rng(7).child("prune")}
     rngs["data"].integers(0, 100, size=13)  # advance the stream position
-    return model, optimizer, ema_input, ema_latent, rngs
+    return model, optimizer, xbars, rngs
 
 
-def make_blob(step=0):
-    model, optimizer, ema_i, ema_l, rngs = populated_state()
-    return capture_state(model, optimizer, ema_i, ema_l, step, rngs)
+def make_blob(step=0, norms="input"):
+    model, optimizer, xbars, rngs = populated_state(norms=norms)
+    return capture_state(model, optimizer, xbars, norms, DECAY, step, rngs)
 
 
 def test_blob_leads_with_magic_and_version():
@@ -62,26 +63,35 @@ def test_blob_leads_with_magic_and_version():
 
 
 def test_save_load_save_is_bitwise():
-    model, optimizer, ema_i, ema_l, rngs = populated_state()
-    blob = capture_state(model, optimizer, ema_i, ema_l, 17, rngs)
+    for norms in ("input", "latent"):
+        model, optimizer, xbars, rngs = populated_state(norms=norms)
+        blob = capture_state(model, optimizer, xbars, norms, DECAY, 17, rngs)
 
-    model2, optimizer2 = fresh()
-    ema_i2: dict = {}
-    ema_l2: dict = {}
-    rngs2 = {"data": Rng(7).child("data"), "prune": Rng(7).child("prune")}
-    step = restore_state(blob, model2, optimizer2, ema_i2, ema_l2, rngs2)
-    assert step == 17
-    assert capture_state(model2, optimizer2, ema_i2, ema_l2, 17, rngs2) == blob
+        model2, optimizer2 = fresh()
+        xbars2: dict = {}
+        rngs2 = {"data": Rng(7).child("data"), "prune": Rng(7).child("prune")}
+        step = restore_state(blob, model2, optimizer2, xbars2, norms, DECAY, rngs2)
+        assert step == 17
+        assert capture_state(model2, optimizer2, xbars2, norms, DECAY, 17, rngs2) == blob
+
+
+def test_header_layout_matches_the_committed_golden():
+    # headers hold names, ranks, decays, integer rng states and the tensor
+    # order, no computed floats, so they are the same on every platform; a
+    # change to the format has to update the golden file on purpose
+    golden = json.loads((Path(__file__).parent / "golden" / "checkpoint_headers.json").read_text())
+    for norms in ("input", "latent"):
+        assert split_blob(make_blob(step=5, norms=norms))[0] == golden[norms], norms
 
 
 def test_restore_rehydrates_every_slot():
-    model, optimizer, ema_i, ema_l, rngs = populated_state()
-    blob = capture_state(model, optimizer, ema_i, ema_l, 5, rngs)
+    model, optimizer, xbars, rngs = populated_state()
+    blob = capture_state(model, optimizer, xbars, "input", DECAY, 5, rngs)
 
     model2, optimizer2 = fresh(seed=4)  # different init, same layout
-    ema_i2: dict = {}
+    xbars2: dict = {}
     rngs2 = {"data": Rng(9).child("data")}
-    restore_state(blob, model2, optimizer2, ema_i2, {}, rngs2)
+    restore_state(blob, model2, optimizer2, xbars2, "input", DECAY, rngs2)
 
     for name, t in model.trainable().items():
         assert np.array_equal(t.data, model2.trainable()[name].data), name
@@ -89,63 +99,62 @@ def test_restore_rehydrates_every_slot():
     for k in optimizer.m:
         assert np.array_equal(optimizer.m[k], optimizer2.m[k])
         assert np.array_equal(optimizer.v[k], optimizer2.v[k])
-    assert set(ema_i2) == set(ema_i)
-    for name in ema_i:
-        assert np.array_equal(ema_i2[name].xbar, ema_i[name].xbar)
-        assert ema_i2[name].decay == ema_i[name].decay
+    assert set(xbars2) == set(xbars)
+    for name in xbars:
+        assert np.array_equal(xbars2[name], xbars[name])
     # the restored stream continues exactly where the saved one paused
     assert np.array_equal(rngs["data"].integers(0, 1000, size=8),
                           rngs2["data"].integers(0, 1000, size=8))
 
 
 def test_restore_does_not_rebind_tensors():
-    model, optimizer, ema_i, ema_l, rngs = populated_state()
-    blob = capture_state(model, optimizer, ema_i, ema_l, 5, rngs)
+    blob = make_blob(step=5)
     model2, optimizer2 = fresh()
     held = model2.adapters["blocks.0.wq"].A
-    restore_state(blob, model2, optimizer2, {}, {}, {})
+    restore_state(blob, model2, optimizer2, {}, "input", DECAY, {})
     assert model2.adapters["blocks.0.wq"].A is held
 
 
 def test_bad_magic_rejected():
     blob = make_blob()
     with pytest.raises(FormatError):
-        restore_state(b"XXXX" + blob[4:], *fresh(), {}, {}, {})
+        restore_state(b"XXXX" + blob[4:], *fresh(), {}, "input", DECAY, {})
 
 
 def test_unknown_version_rejected():
     blob = bytearray(make_blob())
     struct.pack_into("<I", blob, 4, 99)
     with pytest.raises(FormatError):
-        restore_state(bytes(blob), *fresh(), {}, {}, {})
+        restore_state(bytes(blob), *fresh(), {}, "input", DECAY, {})
 
 
 def test_truncated_payload_rejected():
     blob = make_blob()
     with pytest.raises(FormatError):
-        restore_state(blob[:-9], *fresh(), {}, {}, {})
+        restore_state(blob[:-9], *fresh(), {}, "input", DECAY, {})
     with pytest.raises(FormatError):
-        restore_state(blob[:10], *fresh(), {}, {}, {})
+        restore_state(blob[:10], *fresh(), {}, "input", DECAY, {})
 
 
 def test_trailing_bytes_rejected():
     blob = make_blob()
     with pytest.raises(FormatError):
-        restore_state(blob + b"\x00", *fresh(), {}, {}, {})
+        restore_state(blob + b"\x00", *fresh(), {}, "input", DECAY, {})
 
 
 def test_corrupt_header_rejected():
     blob = bytearray(make_blob())
     blob[16] = 0xFF  # header starts right after the fixed prefix
     with pytest.raises(FormatError):
-        restore_state(bytes(blob), *fresh(), {}, {}, {})
+        restore_state(bytes(blob), *fresh(), {}, "input", DECAY, {})
 
 
 def test_plan_mismatch_rejected():
     blob = make_blob()
     other = ToyModel.build(DIMS, uniform_plan(2, 3), Rng(3).child("model"))
     with pytest.raises(FormatError):
-        restore_state(blob, other, make_optimizer("adam", other.trainable()), {}, {}, {})
+        restore_state(blob, other, make_optimizer("adam", other.trainable()),
+                      {}, "input", DECAY, {})
 
 
 def test_adapter_set_mismatch_rejected():
@@ -153,17 +162,18 @@ def test_adapter_set_mismatch_rejected():
     other = ToyModel.build(DIMS, linear_plan(2, 2, 4), Rng(3).child("model"),
                            adapt_kinds=("wq", "wv"))
     with pytest.raises(FormatError):
-        restore_state(blob, other, make_optimizer("adam", other.trainable()), {}, {}, {})
+        restore_state(blob, other, make_optimizer("adam", other.trainable()),
+                      {}, "input", DECAY, {})
 
 
 def test_optimizer_kind_mismatch_rejected():
-    model, optimizer, ema_i, ema_l, rngs = populated_state()
-    blob = capture_state(model, optimizer, ema_i, ema_l, 0, rngs)
+    blob = make_blob(step=0)
     model2, _ = fresh()
     from prilora.errors import ConfigError
 
     with pytest.raises(ConfigError):
-        restore_state(blob, model2, make_optimizer("sgd", model2.trainable()), {}, {}, {})
+        restore_state(blob, model2, make_optimizer("sgd", model2.trainable()),
+                      {}, "input", DECAY, {})
 
 
 # -- malformed headers: rejected before any live object changes ----------------
@@ -193,15 +203,15 @@ def restore_into_other_model(blob):
 
     Returns the model's trainable tensors before and after, and the error."""
     model, optimizer = fresh(seed=4)
-    ema_i = {"blocks.0.wq": EmaState.zeros(16)}
+    xbars = {"blocks.0.wq": np.zeros(16)}
     rngs = {"data": Rng(9).child("data"), "prune": Rng(9).child("prune")}
     before = {k: t.data.copy() for k, t in model.trainable().items()}
     error = None
     try:
-        restore_state(blob, model, optimizer, ema_i, {}, rngs)
+        restore_state(blob, model, optimizer, xbars, "input", DECAY, rngs)
     except FormatError as exc:
         error = exc
-        assert list(ema_i) == ["blocks.0.wq"] and optimizer.t == 0
+        assert list(xbars) == ["blocks.0.wq"] and optimizer.t == 0
         assert rngs["data"].get_state() == Rng(9).child("data").get_state()
     after = {k: t.data for k, t in model.trainable().items()}
     return before, after, error
@@ -244,6 +254,9 @@ MALFORMED = {
     "ema_input_width_cut": lambda: with_ema("ema_input", "blocks.0.wq", WQ_XBAR[:3]),
     "ema_input_for_a_missing_layer": lambda: with_ema("ema_input", "blocks.9.wq", WQ_XBAR),
     "ema_latent_at_input_width": lambda: with_ema("ema_latent", "blocks.0.wq", WQ_XBAR),
+    "ema_nan": lambda: with_ema("ema_input", "blocks.0.wq", np.full_like(WQ_XBAR, np.nan)),
+    "ema_inf": lambda: with_ema("ema_input", "blocks.0.wq", np.full_like(WQ_XBAR, np.inf)),
+    "ema_negative": lambda: with_ema("ema_input", "blocks.0.wq", -WQ_XBAR),
     "step_a_string": lambda: edited(step="5"),
     "step_negative": lambda: edited(step=-1),
     "decay_out_of_range": lambda: edited(ema_input=[dict(e, decay=1.5) for e in HEADER["ema_input"]]),

@@ -103,6 +103,14 @@ def test_bad_seed_and_job_flags(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--seeds", ""]) == 1
     assert main(["run", "--config", str(cfg), "--seeds", "1,1"]) == 1
     assert main(["run", "--config", str(cfg), "--jobs", "0"]) == 1
+    # a seed outside [0, 2**64), from the flag or the config, is a config
+    # error raised before any directory is made
+    out = tmp_path / "out"
+    for seeds in ("-1", str(2**64)):
+        assert main(["run", "--config", str(cfg), "--seeds", seeds, "--out", str(out)]) == 1
+    bad_seed = write_cfg(tmp_path / "bad_seed.cfg", TINY + "seed = -1\n")
+    assert main(["run", "--config", str(bad_seed), "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 # -- run -----------------------------------------------------------------------

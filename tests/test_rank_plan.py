@@ -134,15 +134,6 @@ def test_explicit_plan_and_validation():
     assert explicit_plan([0, 4]).ranks == (0, 4)
 
 
-def test_rank_for_bounds():
-    plan = uniform_plan(3, 2)
-    assert plan.rank_for(2) == 2
-    with pytest.raises(RankError):
-        plan.rank_for(3)
-    with pytest.raises(RankError):
-        plan.rank_for(-1)
-
-
 def test_preset_fidelity():
     preset = deberta_base_preset()
     assert preset.ranks == (4, 5, 6, 6, 7, 8, 8, 9, 10, 10, 11, 12)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prilora import prune_engine
-from prilora.errors import ConfigError, ParameterError, TrainingDiverged
+from prilora.errors import ConfigError, FormatError, ParameterError, TrainingDiverged
 from prilora.model import MATRIX_KINDS, ModelDims, ToyModel
 from prilora.numerics import Rng, Tensor
 from prilora.prune_engine import STRATEGIES, PruneConfig, tracked_norms
@@ -418,6 +418,31 @@ def test_resume_from_midpoint_is_bitwise(task):
     # resumed record carries only the back half of the eval history
     assert [p.step for p in resumed.eval_points] == [20]
     assert resumed.eval_points[-1].to_json() == full.eval_points[-1].to_json()
+
+
+# (config that wrote the checkpoint, config that resumes it)
+MISMATCHED_RESUMES = {
+    "B_rows_under_prilora_A": (dict(prune=PruneConfig(0.5, 5, "B_rows")),
+                               dict(prune=PruneConfig(0.5, 5, "prilora_A"))),
+    "B_rows_under_none": (dict(prune=PruneConfig(0.5, 5, "B_rows")),
+                          dict(prune=PruneConfig(0.5, 5, "none"))),
+    "decay_0.9_under_0.5": (dict(ema_decay=0.9), dict(ema_decay=0.5)),
+    "decay_0.5_under_0.9": (dict(ema_decay=0.5), dict(ema_decay=0.9)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_RESUMES))
+def test_resume_under_other_norms_or_decay_refused(task, case):
+    saved, resumed = MISMATCHED_RESUMES[case]
+    cfg = small_cfg(**saved)
+    mid = train(build_model(cfg, DIMS), task, cfg, checkpoint_at=10).mid_checkpoint
+    other = small_cfg(**resumed)
+    model = build_model(other, DIMS)
+    before = {name: t.data.copy() for name, t in model.trainable().items()}
+    with pytest.raises(FormatError):
+        train(model, task, other, resume_from=mid)
+    for name, t in model.trainable().items():
+        assert np.array_equal(t.data, before[name]), name
 
 
 def test_resume_beyond_configured_steps_rejected(task):
