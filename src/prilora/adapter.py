@@ -2,11 +2,11 @@
 
 Each adapted matrix W0 (d1 x d2) gets a pair of small trainable factors:
 A (r x d2), drawn from a Gaussian, and B (d1 x r), initialized to zero, so
-the adapted forward pass starts out exactly equal to the frozen one. The
-update path adds scale * B @ (A @ x) to the frozen product, and the pair can
-be folded back into a single dense weight for inference.
-
-Only A and B carry gradients; the frozen weight never changes.
+the adapted forward pass starts out exactly equal to the frozen one. One
+tape node, ``numerics.adapted_linear``, adds scale * B @ (A @ x) to the
+frozen product; the pair can be folded back into one dense weight for
+inference. Only A and B carry gradients: the node yields dx, dA and dB and
+never one for the frozen weight, which never changes.
 """
 
 from __future__ import annotations
@@ -128,16 +128,14 @@ def forward(layer: FrozenLinear, adapter: AdapterPair | None, x: Tensor) -> Tens
         raise ShapeError(
             f"input width {x.shape[-1]} does not match layer width {layer.in_features}"
         )
-    h = numerics.matmul(x, layer.W0.transpose())
-    if adapter is not None:
-        if adapter.d2 != layer.in_features or adapter.d1 != layer.out_features:
-            raise ShapeError(
-                f"adapter ({adapter.d1}, {adapter.d2}) does not fit layer "
-                f"({layer.out_features}, {layer.in_features})"
-            )
-        latent = numerics.matmul(x, adapter.A.transpose())
-        h = h + adapter.scale * numerics.matmul(latent, adapter.B.transpose())
-    return h
+    if adapter is None:
+        return numerics.matmul(x, layer.W0.transpose())
+    if adapter.d2 != layer.in_features or adapter.d1 != layer.out_features:
+        raise ShapeError(
+            f"adapter ({adapter.d1}, {adapter.d2}) does not fit layer "
+            f"({layer.out_features}, {layer.in_features})"
+        )
+    return numerics.adapted_linear(x, layer.W0, adapter.A, adapter.B, adapter.scale)
 
 
 def merge(layer: FrozenLinear, adapter: AdapterPair) -> FrozenLinear:

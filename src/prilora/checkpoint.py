@@ -111,7 +111,7 @@ def _parse(
     and every tensor it reads at its live shape. An EMA entry must name a live
     adapter, hold its input width (or its rank for the latent) in finite,
     nonnegative values, sit in the group of the norms the run tracks and carry
-    the run's decay."""
+    the run's decay; past step 0 (or with any entry) every adapter needs one."""
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise FormatError("not a checkpoint: bad magic")
     (version,) = struct.unpack_from("<I", blob, 4)
@@ -185,6 +185,8 @@ def _parse(
             raise FormatError(f"checkpoint {key}: this run tracks {norms or 'no'} norms")
         if entry["decay"] != decay:
             raise FormatError(f"checkpoint {key}: decay {entry['decay']} != the run's {decay}")
+    if norms is not None and (header["step"] > 0 or emas) and len(emas) != len(model.adapters):
+        raise FormatError(f"checkpoint holds {len(emas)} EMA entries for {len(model.adapters)} adapters")
     return header, arrays
 
 
@@ -202,9 +204,9 @@ def restore_state(
     The model must already be built with the same plan and adapter layout;
     tensors are written in place so optimizer bindings stay valid. xbars
     receives the saved EMA vectors; a checkpoint that tracks other norms than
-    norms, or another decay than decay, is refused. Every check runs before
-    the first write, so a rejected checkpoint leaves the live objects as they
-    were.
+    norms, another decay than decay, or lacks an EMA entry or random stream
+    the run needs, is refused. Every check runs before the first write, so a
+    rejected checkpoint leaves the live objects as they were.
     """
     header, arrays = _parse(blob, model, norms, decay)
     params = model.trainable()
@@ -215,7 +217,7 @@ def restore_state(
         for group in EMA_GROUPS.values()
         for entry in header[group]
     }
-    saved_rng = {tag: state for tag, state in header["rng"].items() if tag in rngs}
+    saved_rng = {tag: header["rng"].get(tag, {}) for tag in rngs}  # a missing one fails below
     for tag, state in saved_rng.items():
         try:
             Rng(0).set_state(state)  # a scratch stream, so a bad state fails before any write

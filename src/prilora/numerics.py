@@ -2,10 +2,10 @@
 and a bit-exact serialization format.
 
 The differentiable op set is closed-world: exactly what the training stack
-composes (affine maps via matmul/add, ReLU, softmax and softmax
-cross-entropy, layer normalization, elementwise arithmetic, reductions, and
-shape moves). Everything is float64 in row-major order, which keeps gradient
-checks tight and serialized payloads byte-identical across runs.
+composes (matmul/add and adapted_linear for affine maps, ReLU, softmax and its
+cross-entropy, layer norm, elementwise arithmetic, reductions, shape moves),
+none forming a gradient for a frozen parent. Everything is float64, row-major,
+which keeps gradient checks tight and serialized payloads byte-identical.
 
 Raw array storage and the matrix product itself are delegated to numpy; the
 tape, the gradient rules, the random stream discipline, and the wire format
@@ -31,6 +31,7 @@ __all__ = [
     "Rng",
     "no_grad",
     "matmul",
+    "adapted_linear",
     "add",
     "mul",
     "relu",
@@ -192,9 +193,10 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is None:  # C order: g's strides would change how later products sum
+        t.grad = np.array(g, copy=True, order="C")
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -215,8 +217,10 @@ def add(a, b) -> Tensor:
         raise ShapeError(f"add: shapes do not broadcast: {a.shape} + {b.shape}") from None
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -229,8 +233,10 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"mul: shapes do not broadcast: {a.shape} * {b.shape}") from None
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -248,10 +254,35 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: batch dimensions do not broadcast: {a.shape} @ {b.shape}") from None
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(data, (a, b), backward)
+
+
+def adapted_linear(x, W0: Tensor, A: Tensor, B: Tensor, scale: float) -> Tensor:
+    """x @ W0^T + scale * (x @ A^T) @ B^T as one tape node; W0 gets no gradient.
+
+    The numpy products and their order are the matmul/mul/add composition's,
+    so the two agree bit for bit."""
+    x = _as_tensor(x)
+    if x.ndim < 2:
+        raise ShapeError(f"adapted_linear needs 2-D or higher input, got {x.shape}")
+    latent = x.data @ A.data.T
+    data = x.data @ W0.data.T + scale * (latent @ B.data.T)
+
+    def backward(g: np.ndarray) -> None:
+        g_lat = g * scale
+        _accum(B, _unbroadcast(np.swapaxes(latent, -1, -2) @ g_lat, B.data.T.shape).T)
+        g_lat = g_lat @ B.data
+        if x.requires_grad:  # frozen path first, as the composition's reverse walk summed x
+            _accum(x, g @ W0.data)
+            _accum(x, g_lat @ A.data)
+        _accum(A, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g_lat, A.data.T.shape).T)
+
+    return _make(data, (x, A, B), backward)
 
 
 def relu(a) -> Tensor:

@@ -3,10 +3,10 @@
 Each step runs in a fixed order: forward pass (collecting the per-matrix
 norms that prune_engine.tracked_norms names for the strategy), EMA update,
 backward pass over adapters and head only, optimizer step, and then, on
-interval boundaries, the prune event itself. The EMA is one
-``{layer name: vector}`` dict, stepped with ``TrainConfig.ema_decay``.
-Evaluation happens on a separate cadence and never touches the EMA
-statistics or the random streams.
+interval boundaries, the prune event itself. The EMA is one ``{layer name:
+vector}`` dict of views into one buffer, which one update per step moves
+with ``TrainConfig.ema_decay``. Evaluation happens on a separate cadence and
+never touches the EMA statistics or the random streams.
 
 Runs are deterministic functions of the config: batch order, adapter init,
 and prune randomness all come from child streams of the config seed, and a
@@ -301,6 +301,11 @@ def _pick_coords(model: ToyModel, cfg: TrainConfig) -> list[tuple[str, str, int,
 # The loop
 
 
+def _views(buf: np.ndarray, names: list[str], like: dict[str, np.ndarray]) -> dict:
+    """{name: view of buf}, consecutive slices as wide as like[name]."""
+    return dict(zip(names, np.split(buf, np.cumsum([len(like[n]) for n in names])[:-1])))
+
+
 def train(
     model: ToyModel,
     task: TaskData,
@@ -341,6 +346,10 @@ def train(
             raise ConfigError(
                 f"checkpoint is at step {start_step}, beyond the configured {cfg.steps}"
             )
+    names, ema = list(model.adapters), None  # the layers' order in the EMA buffer; none yet
+    if xbars:  # restored vectors move into the buffer
+        ema = np.concatenate([xbars[name] for name in names])
+        xbars.update(_views(ema, names, xbars))
 
     coords = _pick_coords(model, cfg)
     eval_points: list[EvalPoint] = []
@@ -399,13 +408,13 @@ def train(
             loss_val = loss.item()
             if not math.isfinite(loss_val):
                 raise TrainingDiverged(step, last_good)
-            for name, vec in stats.items():
-                prev = xbars.get(name)
-                if prev is None and cfg.ema_init_first_batch:
-                    xbars[name] = vec.copy()
+            if stats:
+                x = np.concatenate([stats[name] for name in names])
+                if ema is None:  # the first observation: the EMA starts at it or steps from zeros
+                    ema = x if cfg.ema_init_first_batch else ema_update(np.zeros_like(x), x, cfg.ema_decay)
+                    xbars.update(_views(ema, names, stats))
                 else:
-                    prev = np.zeros_like(vec) if prev is None else prev
-                    xbars[name] = ema_update(prev, vec, cfg.ema_decay)
+                    ema[...] = ema_update(ema, x, cfg.ema_decay)
             for p in params.values():
                 p.grad = None
             loss.backward()

@@ -258,6 +258,11 @@ def test_criterion_10_learning_sanity_golden_seed(reference_run):
     assert record.final_accuracy == expected["final_accuracy"]
 
 
+def test_golden_final_loss_is_bitwise(reference_run):
+    """Refactors of the tape keep every bit of the committed final loss."""
+    assert reference_run.record.final_loss == GOLDEN["expected"]["final_loss"]
+
+
 def test_criterion_11_pruning_overhead_parity(reference_run):
     """Pruning every 40 steps stays within 5% of the no-pruning wall clock."""
     task = reference_run.task

@@ -110,6 +110,15 @@ def test_forward_supports_batched_sequences():
     assert np.abs(out - expected).max() < 1e-12
 
 
+def test_forward_is_one_tape_node_over_x_a_and_b():
+    layer = make_layer(5, 8)
+    pair = randomized_pair(5, 8, 3)
+    x = Tensor(Rng(5).normal((2, 4, 8)), requires_grad=True)
+    out = forward(layer, pair, x)
+    assert len(out._prev) == 3
+    assert all(got is want for got, want in zip(out._prev, (x, pair.A, pair.B)))
+
+
 def test_gradients_flow_to_adapter_only():
     layer = make_layer(5, 8)
     pair = randomized_pair(5, 8, 3)

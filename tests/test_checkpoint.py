@@ -271,6 +271,9 @@ MALFORMED = {
     "rng_buffer_pos_negative": lambda: edited(
         rng=dict(HEADER["rng"], data=dict(HEADER["rng"]["data"], buffer_pos=-1))
     ),
+    "rng_empty": lambda: edited(rng={}),
+    "rng_missing_prune": lambda: edited(rng={"data": HEADER["rng"]["data"]}),
+    "ema_input_entry_dropped": lambda: edited(ema_input=HEADER["ema_input"][1:]),
 }
 
 

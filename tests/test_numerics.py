@@ -164,6 +164,85 @@ def test_grad_accumulates_across_uses():
     assert np.allclose(a.grad, [6.0])
 
 
+def test_no_gradient_is_routed_to_a_frozen_parent(monkeypatch):
+    # matmul, mul and add skip the gradient product of a parent that needs
+    # none, rather than computing it for _accum to drop
+    routed = []
+    accum = numerics._accum
+    monkeypatch.setattr(numerics, "_accum", lambda t, g: (routed.append(t), accum(t, g)))
+    w = Tensor(rand((4, 3), 30), requires_grad=True)
+    x = Tensor(rand((2, 5, 4), 31))
+    m = Tensor(rand((3, 3), 32))
+    c = Tensor(rand((3,), 33))
+    # a frozen parent on each side of each op: matmul left then right, mul
+    # right (c) then left (0.5), add left then right
+    h = numerics.matmul(numerics.matmul(x, w), m)
+    out = 0.5 * numerics.add(c, numerics.mul(h, c)) + c
+    out.sum().backward()
+    assert routed and all(t.requires_grad for t in routed)
+    assert any(t is w for t in routed)
+
+
+def composed_adapter(x, W0, A, B, scale):
+    """The adapted map as separate tape ops: matmul, transpose, mul, add."""
+    h = numerics.matmul(x, W0.transpose())
+    latent = numerics.matmul(x, A.transpose())
+    return h + scale * numerics.matmul(latent, B.transpose())
+
+
+def attention_over_three_adapters(linear, seed=50):
+    """wq/wk/wv read one shared 3-D input, as in a model block; returns the
+    three outputs, the loss and every gradient."""
+    rng = Rng(seed)
+    d, dff, r, scale = 8, 8, 3, 0.75
+    x = Tensor(rng.child("x").normal((2, 5, d)), requires_grad=True)
+    h = numerics.layernorm(x)  # an interior node, like a block's LN output
+    outs, factors = [], []
+    for kind in ("wq", "wk", "wv"):
+        W0 = Tensor(rng.child(f"{kind}/W0").normal((dff, d)))
+        A = Tensor(rng.child(f"{kind}/A").normal((r, d)), requires_grad=True)
+        B = Tensor(rng.child(f"{kind}/B").normal((dff, r)), requires_grad=True)
+        outs.append(linear(h, W0, A, B, scale))
+        factors += [A, B]
+    q, k, v = outs
+    attn = numerics.softmax(numerics.matmul(q, k.swapaxes(-1, -2)) * (dff**-0.5))
+    loss = (numerics.matmul(attn, v) * v).mean()
+    loss.backward()
+    return [t.data for t in outs] + [loss.data, x.grad] + [t.grad for t in factors]
+
+
+def test_adapted_linear_matches_the_composition_bitwise():
+    fused = attention_over_three_adapters(numerics.adapted_linear)
+    reference = attention_over_three_adapters(composed_adapter)
+    assert len(fused) == len(reference) == 11
+    for got, want in zip(fused, reference):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_adapted_linear_gradients_match_finite_differences():
+    rng = Rng(60)
+    x = Tensor(rng.child("x").normal((2, 4, 6)), requires_grad=True)
+    W0 = Tensor(rng.child("W0").normal((5, 6)))
+    A = Tensor(rng.child("A").normal((2, 6)), requires_grad=True)
+    B = Tensor(rng.child("B").normal((5, 2)), requires_grad=True)
+    w = Tensor(rng.child("w").normal((2, 4, 5)))
+
+    def f():
+        h = numerics.adapted_linear(x, W0, A, B, 1.5)
+        return (h * h * w).mean()
+
+    # criterion 8's tolerance
+    assert grad_check(f, [x, A, B], eps=1e-4) < 1e-5
+    assert W0.grad is None
+
+
+def test_adapted_linear_rejects_vector_input():
+    A, B = Tensor(rand((2, 4), 61), requires_grad=True), Tensor(rand((3, 2), 62), requires_grad=True)
+    with pytest.raises(ShapeError):
+        numerics.adapted_linear(Tensor(rand((4,), 63)), Tensor(rand((3, 4), 64)), A, B, 1.0)
+
+
 def test_backward_requires_scalar():
     a = Tensor(rand((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):

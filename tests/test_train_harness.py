@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from prilora import prune_engine
+from prilora.checkpoint import capture_state
 from prilora.errors import ConfigError, FormatError, ParameterError, TrainingDiverged
 from prilora.model import MATRIX_KINDS, ModelDims, ToyModel
 from prilora.numerics import Rng, Tensor
@@ -428,6 +429,11 @@ MISMATCHED_RESUMES = {
                           dict(prune=PruneConfig(0.5, 5, "none"))),
     "decay_0.9_under_0.5": (dict(ema_decay=0.9), dict(ema_decay=0.5)),
     "decay_0.5_under_0.9": (dict(ema_decay=0.5), dict(ema_decay=0.9)),
+    # a mid-run checkpoint without the input-norm EMA that prilora_A reads
+    "none_under_prilora_A": (dict(prune=PruneConfig(0.5, 5, "none")),
+                             dict(prune=PruneConfig(0.5, 5, "prilora_A"))),
+    "random_A_cols_under_prilora_A": (dict(prune=PruneConfig(0.5, 5, "random_A_cols")),
+                                      dict(prune=PruneConfig(0.5, 5, "prilora_A"))),
 }
 
 
@@ -443,6 +449,19 @@ def test_resume_under_other_norms_or_decay_refused(task, case):
         train(model, task, other, resume_from=mid)
     for name, t in model.trainable().items():
         assert np.array_equal(t.data, before[name]), name
+
+
+@pytest.mark.parametrize("strategy", ["none", "random_A_cols"])
+def test_step_zero_checkpoint_resumes_under_prilora_A(task, strategy):
+    # at step 0 no run has observed a norm yet, so an empty EMA is complete
+    saved = small_cfg(prune=PruneConfig(0.5, 5, strategy))
+    model = build_model(saved, DIMS)
+    optimizer = make_optimizer(saved.optimizer, model.trainable())
+    rngs = {"data": Rng(saved.seed).child("data"), "prune": Rng(saved.seed).child("prune")}
+    blob = capture_state(model, optimizer, {}, tracked_norms(saved.prune), saved.ema_decay, 0, rngs)
+    cfg = small_cfg()
+    resumed = train(build_model(cfg, DIMS), task, cfg, resume_from=blob)
+    assert resumed.final_checkpoint == train(build_model(cfg, DIMS), task, cfg).final_checkpoint
 
 
 def test_resume_beyond_configured_steps_rejected(task):
