@@ -7,8 +7,11 @@ block; a plan rank of zero leaves the block unadapted. The only other
 trainable parameters are the zero-initialized classifier head, so an
 untrained model always predicts uniform logits.
 
-Blocks are pre-norm: x + Attn(LN(x)), then x + FFN(LN(x)). Sequence output
-is mean-pooled, normalized, and mapped to logits by the head.
+Blocks are pre-norm: x + Attn(LN(x)), then x + FFN(LN(x)). Attn projects
+LN(x) through wq, wk and wv, runs the multi-head attention core as one tape
+node (``numerics.attention``: head split, scaled q·kᵀ, softmax, ·v, head
+merge) and projects the merged heads through wo. Sequence output is
+mean-pooled, normalized, and mapped to logits by the head.
 """
 
 from __future__ import annotations
@@ -166,25 +169,18 @@ class ToyModel:
             tokens = tokens[None, :]
         if tokens.ndim != 2:
             raise ShapeError(f"tokens must be (batch, position), got shape {tokens.shape}")
-        b, n = tokens.shape
+        n = tokens.shape[1]
         if n > self.dims.seq_len:
             raise ShapeError(f"sequence length {n} exceeds model maximum {self.dims.seq_len}")
         if tokens.min() < 0 or tokens.max() >= self.dims.vocab_size:
             raise ParameterError(f"token ids must lie in [0, {self.dims.vocab_size})")
 
         stats: dict[str, np.ndarray] = {}
-        heads, dh = self.dims.num_heads, self.dims.d_model // self.dims.num_heads
-
         x = Tensor(self.embed[tokens] + self.pos[:n])
         for i in range(len(self.blocks)):
             h = numerics.layernorm(x)
             q, k, v = self._apply(i, ("wq", "wk", "wv"), h, norms, stats)
-            q = q.reshape(b, n, heads, dh).swapaxes(1, 2)
-            k = k.reshape(b, n, heads, dh).swapaxes(1, 2)
-            v = v.reshape(b, n, heads, dh).swapaxes(1, 2)
-            scores = numerics.matmul(q, k.swapaxes(-1, -2)) * (dh**-0.5)
-            attn = numerics.softmax(scores, axis=-1)
-            ctx = numerics.matmul(attn, v).swapaxes(1, 2).reshape(b, n, self.dims.d_model)
+            ctx = numerics.attention(q, k, v, self.dims.num_heads)
             (proj,) = self._apply(i, ("wo",), ctx, norms, stats)
             x = x + proj
 

@@ -2,10 +2,11 @@
 and a bit-exact serialization format.
 
 The differentiable op set is closed-world: exactly what the training stack
-composes (matmul/add and adapted_linear for affine maps, ReLU, softmax and its
-cross-entropy, layer norm, elementwise arithmetic, reductions, shape moves),
-none forming a gradient for a frozen parent. Everything is float64, row-major,
-which keeps gradient checks tight and serialized payloads byte-identical.
+composes (matmul/add and adapted_linear for affine maps, multi-head attention,
+ReLU, softmax and its cross-entropy, layer norm, elementwise arithmetic,
+reductions, shape moves), none forming a gradient for a frozen parent.
+Everything is float64, row-major, which keeps gradient checks tight and
+serialized payloads byte-identical.
 
 Raw array storage and the matrix product itself are delegated to numpy; the
 tape, the gradient rules, the random stream discipline, and the wire format
@@ -32,6 +33,7 @@ __all__ = [
     "no_grad",
     "matmul",
     "adapted_linear",
+    "attention",
     "add",
     "mul",
     "relu",
@@ -271,7 +273,10 @@ def adapted_linear(x, W0: Tensor, A: Tensor, B: Tensor, scale: float) -> Tensor:
     if x.ndim < 2:
         raise ShapeError(f"adapted_linear needs 2-D or higher input, got {x.shape}")
     latent = x.data @ A.data.T
-    data = x.data @ W0.data.T + scale * (latent @ B.data.T)
+    data = x.data @ W0.data.T
+    delta = latent @ B.data.T
+    delta *= scale
+    data += delta
 
     def backward(g: np.ndarray) -> None:
         g_lat = g * scale
@@ -340,30 +345,83 @@ def _reduce(a: Tensor, axis, keepdims: bool, mean: bool) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def _softmax_forward(a: np.ndarray, axis: int) -> np.ndarray:
+    p = a - a.max(axis=axis, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
+    return p
+
+
+def _softmax_backward(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient at softmax's input, given g at its output p."""
+    inner = (g * p).sum(axis=axis, keepdims=True)
+    out = g - inner
+    out *= p
+    return out
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = _softmax_forward(a.data, axis)
 
     def backward(g: np.ndarray) -> None:
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        _accum(a, (g - inner) * data)
+        _accum(a, _softmax_backward(g, data, axis))
 
     return _make(data, (a,), backward)
+
+
+def attention(q, k, v, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape node: q, k and v
+    are (batch, position, width); each head's softmax(q kᵀ / √dh) v, heads
+    merged back to (batch, position, width).
+
+    The numpy calls and their order are the reshape/swapaxes/matmul/mul/
+    softmax composition's, so the two agree bit for bit."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention needs equal 3-D q, k, v, got {q.shape}, {k.shape}, {v.shape}")
+    b, n, d = q.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention: width {d} does not split into {heads} heads")
+    split, scale = (b, n, heads, d // heads), (d // heads) ** -0.5
+    qh, kh, vh = (np.swapaxes(t.data.reshape(split), 1, 2) for t in (q, k, v))
+    p = qh @ np.swapaxes(kh, -1, -2)
+    p *= scale
+    p = _softmax_forward(p, -1)
+    data = np.swapaxes(p @ vh, 1, 2).reshape(b, n, d)
+
+    def merge(gh: np.ndarray) -> np.ndarray:
+        return np.swapaxes(gh, 1, 2).reshape(b, n, d)
+
+    def backward(g: np.ndarray) -> None:
+        # C order, as _accum's first copy left the composition's swapped grad
+        gc = np.array(np.swapaxes(g.reshape(split), 1, 2), order="C")
+        if q.requires_grad or k.requires_grad:
+            gs = _softmax_backward(gc @ np.swapaxes(vh, -1, -2), p, -1)
+            gs *= scale
+            if q.requires_grad:
+                _accum(q, merge(gs @ kh))
+            if k.requires_grad:
+                _accum(k, merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)))
+        if v.requires_grad:
+            _accum(v, merge(np.swapaxes(p, -1, -2) @ gc))
+
+    return _make(data, (q, k, v), backward)
 
 
 def layernorm(a, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean, unit variance. No affine part."""
     a = _as_tensor(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    istd = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * istd
+    n = a.data.shape[-1]
+    # the sum, divide, subtract and square that ndarray.mean and .var run,
+    # with the input centred once
+    xhat = a.data - a.data.sum(axis=-1, keepdims=True) / n
+    istd = 1.0 / np.sqrt(np.multiply(xhat, xhat).sum(axis=-1, keepdims=True) / n + eps)
+    xhat *= istd
 
     def backward(g: np.ndarray) -> None:
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
+        gm = g.sum(axis=-1, keepdims=True) / n
+        gx = (g * xhat).sum(axis=-1, keepdims=True) / n
         _accum(a, istd * (g - gm - xhat * gx))
 
     return _make(xhat, (a,), backward)

@@ -26,7 +26,7 @@ import numpy as np
 from . import checkpoint as checkpoint_mod
 from . import numerics
 from .adapter import nonzero_param_count, trainable_param_count
-from .errors import ConfigError, NumericError, ParameterError, TrainingDiverged
+from .errors import ConfigError, NumericError, ParameterError, ShapeError, TrainingDiverged
 from .model import MATRIX_KINDS, ModelDims, ToyModel, layer_shapes
 from .numerics import Rng, Tensor
 from .prune_engine import PruneConfig, ema_update, prune_event, should_prune, tracked_norms
@@ -122,6 +122,7 @@ class RunRecord:
     best_checkpoint: bytes
     best_step: int
     mid_checkpoint: bytes | None = None
+    start_step: int = 0  # the step a resumed run started from
 
     def _points(self) -> list[EvalPoint]:
         """The evaluation points; a record without any has no results to give."""
@@ -143,7 +144,8 @@ class RunRecord:
 
     @property
     def seconds_per_step(self) -> float:
-        return self.train_seconds / self.steps
+        """Seconds per step over the steps this run timed, after any resume."""
+        return self.train_seconds / max(1, self.steps - self.start_step)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +171,19 @@ class Sgd:
             raise ConfigError(f"cannot load {state['kind']!r} state into sgd")
 
 
+def _views(buf: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """{name: view of buf with shapes[name]}, consecutive in the dict's order."""
+    views, at = {}, 0
+    for name, shape in shapes.items():
+        views[name] = buf[at : at + math.prod(shape)].reshape(shape)
+        at += math.prod(shape)
+    return views
+
+
 class Adam:
+    """Adam over one flat buffer per slot; ``m`` and ``v`` hold each
+    parameter's view into its slot's buffer."""
+
     def __init__(
         self,
         params: dict[str, Tensor],
@@ -180,18 +194,28 @@ class Adam:
         self.params = params
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        shapes = {k: p.data.shape for k, p in params.items()}
+        size = sum(p.data.size for p in params.values())
+        # m, v, the gathered grads and the update
+        self._m, self._v, self._g, self._u = (np.zeros(size) for _ in range(4))
+        self.m, self.v = _views(self._m, shapes), _views(self._v, shapes)
+        self._update = _views(self._u, shapes)
+        self._zeros = {k: np.zeros(shape) for k, shape in shapes.items()}  # for absent grads
 
     def step(self, lr: float) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
+        grads = [p.grad if p.grad is not None else self._zeros[k] for k, p in self.params.items()]
+        g = np.concatenate(grads, axis=None, out=self._g) if grads else self._g
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        np.divide(lr * (m / c1), np.sqrt(v / c2) + self.eps, out=self._u)
         for k, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
-            p.data -= lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + self.eps)
+            p.data -= self._update[k]
 
     def state_dict(self) -> dict:
         return {"kind": "adam", "t": self.t, "slots": ["m", "v"], "m": self.m, "v": self.v}
@@ -199,10 +223,16 @@ class Adam:
     def load_state_dict(self, state: dict) -> None:
         if state["kind"] != "adam":
             raise ConfigError(f"cannot load {state['kind']!r} state into adam")
+        loaded = {slot: {k: np.asarray(state[slot][k], dtype=np.float64) for k in self.params}
+                  for slot in ("m", "v")}
+        for slot, arrays in loaded.items():
+            for k, arr in arrays.items():
+                if arr.shape != self.m[k].shape:
+                    raise ShapeError(f"adam {slot} of {k}: shape {arr.shape} != {self.m[k].shape}")
         self.t = int(state["t"])
-        for k in self.params:
-            self.m[k] = np.array(state["m"][k], dtype=np.float64)
-            self.v[k] = np.array(state["v"][k], dtype=np.float64)
+        for slot, views in (("m", self.m), ("v", self.v)):
+            for k, arr in loaded[slot].items():
+                views[k][...] = arr
 
 
 def make_optimizer(kind: str, params: dict[str, Tensor]):
@@ -301,9 +331,6 @@ def _pick_coords(model: ToyModel, cfg: TrainConfig) -> list[tuple[str, str, int,
 # The loop
 
 
-def _views(buf: np.ndarray, names: list[str], like: dict[str, np.ndarray]) -> dict:
-    """{name: view of buf}, consecutive slices as wide as like[name]."""
-    return dict(zip(names, np.split(buf, np.cumsum([len(like[n]) for n in names])[:-1])))
 
 
 def train(
@@ -349,7 +376,7 @@ def train(
     names, ema = list(model.adapters), None  # the layers' order in the EMA buffer; none yet
     if xbars:  # restored vectors move into the buffer
         ema = np.concatenate([xbars[name] for name in names])
-        xbars.update(_views(ema, names, xbars))
+        xbars.update(_views(ema, {name: xbars[name].shape for name in names}))
 
     coords = _pick_coords(model, cfg)
     eval_points: list[EvalPoint] = []
@@ -412,7 +439,7 @@ def train(
                 x = np.concatenate([stats[name] for name in names])
                 if ema is None:  # the first observation: the EMA starts at it or steps from zeros
                     ema = x if cfg.ema_init_first_batch else ema_update(np.zeros_like(x), x, cfg.ema_decay)
-                    xbars.update(_views(ema, names, stats))
+                    xbars.update(_views(ema, {name: stats[name].shape for name in names}))
                 else:
                     ema[...] = ema_update(ema, x, cfg.ema_decay)
             for p in params.values():
@@ -465,4 +492,5 @@ def train(
         best_checkpoint=best_blob,
         best_step=best_step,
         mid_checkpoint=mid_blob,
+        start_step=start_step,
     )

@@ -190,9 +190,20 @@ def composed_adapter(x, W0, A, B, scale):
     return h + scale * numerics.matmul(latent, B.transpose())
 
 
-def attention_over_three_adapters(linear, seed=50):
-    """wq/wk/wv read one shared 3-D input, as in a model block; returns the
-    three outputs, the loss and every gradient."""
+def composed_attention(q, k, v, heads):
+    """The attention core as separate tape ops: head split, q·kᵀ, scale,
+    softmax, ·v, head merge."""
+    b, n, d = q.shape
+    dh = d // heads
+    q, k, v = (t.reshape(b, n, heads, dh).swapaxes(1, 2) for t in (q, k, v))
+    attn = numerics.softmax(numerics.matmul(q, k.swapaxes(-1, -2)) * (dh**-0.5), axis=-1)
+    return numerics.matmul(attn, v).swapaxes(1, 2).reshape(b, n, d)
+
+
+def attention_over_three_adapters(linear, core=composed_attention, seed=50):
+    """wq/wk/wv read one shared 3-D input, as in a model block, and feed an
+    attention core with 2 heads; returns the three outputs, the core's, the
+    loss and every gradient."""
     rng = Rng(seed)
     d, dff, r, scale = 8, 8, 3, 0.75
     x = Tensor(rng.child("x").normal((2, 5, d)), requires_grad=True)
@@ -204,17 +215,18 @@ def attention_over_three_adapters(linear, seed=50):
         B = Tensor(rng.child(f"{kind}/B").normal((dff, r)), requires_grad=True)
         outs.append(linear(h, W0, A, B, scale))
         factors += [A, B]
-    q, k, v = outs
-    attn = numerics.softmax(numerics.matmul(q, k.swapaxes(-1, -2)) * (dff**-0.5))
-    loss = (numerics.matmul(attn, v) * v).mean()
+    out = core(*outs, 2)
+    # q, k and v each feed only the core, as in the model; the reverse walk's
+    # order into the shared input then hangs on the core's parent order
+    loss = (out * out).mean()
     loss.backward()
-    return [t.data for t in outs] + [loss.data, x.grad] + [t.grad for t in factors]
+    return [t.data for t in (*outs, out, loss)] + [x.grad] + [t.grad for t in factors]
 
 
 def test_adapted_linear_matches_the_composition_bitwise():
     fused = attention_over_three_adapters(numerics.adapted_linear)
     reference = attention_over_three_adapters(composed_adapter)
-    assert len(fused) == len(reference) == 11
+    assert len(fused) == len(reference) == 12
     for got, want in zip(fused, reference):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -241,6 +253,69 @@ def test_adapted_linear_rejects_vector_input():
     A, B = Tensor(rand((2, 4), 61), requires_grad=True), Tensor(rand((3, 2), 62), requires_grad=True)
     with pytest.raises(ShapeError):
         numerics.adapted_linear(Tensor(rand((4,), 63)), Tensor(rand((3, 4), 64)), A, B, 1.0)
+
+
+def test_attention_matches_the_composition_bitwise():
+    fused = attention_over_three_adapters(numerics.adapted_linear, numerics.attention)
+    reference = attention_over_three_adapters(numerics.adapted_linear)
+    assert len(fused) == len(reference) == 12
+    for got, want in zip(fused, reference):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("frozen", ["q", "k", "v"])
+def test_attention_routes_no_gradient_to_a_frozen_input(frozen):
+    def run(core):
+        qkv = {
+            name: Tensor(rand((2, 3, 4), 80 + i), requires_grad=name != frozen)
+            for i, name in enumerate("qkv")
+        }
+        (core(*qkv.values(), 2) * Tensor(rand((2, 3, 4), 84))).sum().backward()
+        return qkv
+
+    fused, reference = run(numerics.attention), run(composed_attention)
+    assert fused[frozen].grad is None
+    for name in "qkv":
+        if name != frozen:
+            assert fused[name].grad.tobytes() == reference[name].grad.tobytes()
+
+
+def test_attention_gradients_match_finite_differences():
+    rng = Rng(90)
+    q, k, v = (Tensor(rng.child(name).normal((2, 3, 4)), requires_grad=True) for name in "qkv")
+    w = Tensor(rng.child("w").normal((2, 3, 4)))
+
+    def f():
+        return (numerics.attention(q, k, v, 2) * w).sum()
+
+    # criterion 8's tolerance
+    assert grad_check(f, [q, k, v], eps=1e-4) < 1e-5
+
+
+def test_attention_shape_errors():
+    t = Tensor(rand((2, 3, 4), 91))
+    with pytest.raises(ShapeError):
+        numerics.attention(Tensor(rand((3, 4), 92)), Tensor(rand((3, 4), 93)), Tensor(rand((3, 4), 94)), 2)
+    with pytest.raises(ShapeError):
+        numerics.attention(t, Tensor(rand((2, 5, 4), 95)), t, 2)
+    with pytest.raises(ShapeError):
+        numerics.attention(t, t, Tensor(rand((2, 3, 6), 96)), 2)
+    for heads in (3, 0):
+        with pytest.raises(ShapeError):
+            numerics.attention(t, t, t, heads)
+
+
+def test_layernorm_matches_numpy_mean_and_var_bitwise():
+    for shape in ((16, 32), (4, 16, 32)):
+        a, w = Tensor(rand(shape, 97), requires_grad=True), rand(shape, 98)
+        istd = 1.0 / np.sqrt(a.data.var(axis=-1, keepdims=True) + 1e-5)
+        xhat = (a.data - a.data.mean(axis=-1, keepdims=True)) * istd
+        out = numerics.layernorm(a)
+        (out * Tensor(w)).sum().backward()
+        gm, gx = w.mean(axis=-1, keepdims=True), (w * xhat).mean(axis=-1, keepdims=True)
+        assert out.data.tobytes() == xhat.tobytes()
+        assert a.grad.tobytes() == (istd * (w - gm - xhat * gx)).tobytes()
 
 
 def test_backward_requires_scalar():

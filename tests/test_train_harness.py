@@ -1,14 +1,16 @@
 """Training loop behavior: determinism, freezing, pruning cadence, resume."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from prilora import prune_engine
 from prilora.checkpoint import capture_state
-from prilora.errors import ConfigError, FormatError, ParameterError, TrainingDiverged
+from prilora.errors import ConfigError, FormatError, ParameterError, ShapeError, TrainingDiverged
 from prilora.model import MATRIX_KINDS, ModelDims, ToyModel
 from prilora.numerics import Rng, Tensor
 from prilora.prune_engine import STRATEGIES, PruneConfig, tracked_norms
@@ -26,6 +28,7 @@ from prilora.train_harness import (
     make_optimizer,
     steps_to_peak,
     train,
+    _loss,
 )
 
 DIMS = ModelDims(num_layers=2, d_model=16, num_heads=2, d_ff=32,
@@ -85,6 +88,29 @@ def test_adapt_kinds_subset_limits_attachment():
     }
 
 
+def test_golden_training_step_makes_29_tape_nodes():
+    """Per block: LN (block 0 reads the embeddings, which need no grad), wq,
+    wk, wv, the attention core, wo, add, LN, w1, ReLU, w2, add; then mean,
+    LN, head transpose, matmul, bias add and the loss."""
+    golden = json.loads((Path(__file__).parent / "golden" / "learning_sanity.json").read_text())
+    g = golden["train"]
+    cfg = small_cfg(plan=linear_plan(golden["dims"]["num_layers"], golden["plan"]["first_rank"],
+                                     golden["plan"]["last_rank"]),
+                    seed=golden["seed"], batch_size=g["batch_size"])
+    task = SyntheticTask(**golden["task"]).build()
+    model = build_model(cfg, ModelDims(**golden["dims"]))
+    logits, _ = model.forward(task.train_tokens[: cfg.batch_size], "input")
+    loss = _loss(logits, task.train_targets[: cfg.batch_size], task.is_regression)
+    nodes, seen, stack = 0, set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes += t._backward is not None
+            stack.extend(t._prev)
+    assert nodes == 29
+
+
 def test_plan_depth_mismatch_rejected():
     cfg = small_cfg(plan=linear_plan(3, 2, 4))
     with pytest.raises(ConfigError):
@@ -130,8 +156,6 @@ def test_gradients_flow_to_adapters_and_head_only(task):
     model.head_w.data[...] = rng.child("hw").normal(model.head_w.shape, std=0.1)
     for pair in model.adapters.values():
         pair.B.data[...] = rng.child("b").normal(pair.B.shape, std=0.1)
-
-    from prilora.train_harness import _loss
 
     logits, _ = model.forward(task.train_tokens[:8])
     loss = _loss(logits, task.train_targets[:8], task.is_regression)
@@ -231,6 +255,61 @@ def test_adam_state_round_trip_preserves_moments():
             ((x * x).sum()).backward()
             opt.step(0.05)
     assert np.array_equal(x1.data, x2.data)
+
+
+def test_adam_flat_step_matches_the_per_parameter_closed_form():
+    rng = Rng(7)
+    shapes = {"a": (3, 4), "sometimes_idle": (2,), "c": (5, 1)}
+    params = {k: Tensor(rng.child(k).normal(shape), requires_grad=True) for k, shape in shapes.items()}
+    opt = Adam(params)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    want = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros(shape) for k, shape in shapes.items()}
+    v = {k: np.zeros(shape) for k, shape in shapes.items()}
+    for t in range(1, 7):
+        lr = 0.01 * t
+        for k, p in params.items():
+            idle = k == "sometimes_idle" and t % 2 == 0
+            p.grad = None if idle else rng.child(f"g{t}/{k}").normal(p.shape)
+        opt.step(lr)
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for k, p in params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+            want[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+            assert p.data.tobytes() == want[k].tobytes(), (t, k)
+            state = opt.state_dict()
+            assert state["m"][k].tobytes() == m[k].tobytes(), (t, k)
+            assert state["v"][k].tobytes() == v[k].tobytes(), (t, k)
+    assert np.abs(m["sometimes_idle"]).min() > 0  # idle steps moved it all the same
+
+
+@pytest.mark.parametrize("slot, name, bad", [
+    ("m", "x", np.ones(1)),
+    ("v", "y", np.ones(4)),
+    ("v", "x", np.ones((3, 1))),
+    ("m", "y", np.ones(())),
+])
+def test_adam_refuses_slots_of_another_shape(slot, name, bad):
+    params = {"x": Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True),
+              "y": Tensor(np.ones((2, 2)), requires_grad=True)}
+    opt = Adam(params)
+    for p in params.values():
+        p.grad = p.data * 0.5
+    opt.step(0.1)
+    before = {s: {k: arr.copy() for k, arr in opt.state_dict()[s].items()} for s in ("m", "v")}
+    state = {"kind": "adam", "t": 9, "slots": ["m", "v"],
+             "m": {k: np.full(p.shape, 2.0) for k, p in params.items()},
+             "v": {k: np.full(p.shape, 3.0) for k, p in params.items()}}
+    state[slot][name] = bad
+    with pytest.raises(ShapeError):
+        opt.load_state_dict(state)
+    # refused before any write
+    assert opt.t == 1
+    for s, arrays in before.items():
+        for k, arr in arrays.items():
+            assert np.array_equal(opt.state_dict()[s][k], arr)
 
 
 def test_optimizer_state_kind_mismatch_rejected():
@@ -516,6 +595,17 @@ def test_steps_to_peak_requires_history():
     record = RunRecord([], [], 10, 1.0, b"", b"", 0)
     with pytest.raises(ParameterError):
         steps_to_peak(record)
+
+
+def test_seconds_per_step_counts_only_the_steps_a_resume_ran(task):
+    cfg = small_cfg(steps=4, eval_interval=2)
+    full = train(build_model(cfg, DIMS), task, cfg, checkpoint_at=2)
+    resumed = train(build_model(cfg, DIMS), task, cfg, resume_from=full.mid_checkpoint)
+    assert (full.start_step, resumed.start_step) == (0, 2)
+    assert full.seconds_per_step == full.train_seconds / 4
+    assert resumed.seconds_per_step == resumed.train_seconds / 2
+    # a resume at the last step times nothing
+    assert RunRecord([], [], 4, 0.0, b"", b"", 4, start_step=4).seconds_per_step == 0.0
 
 
 def test_record_summary_properties(task):
