@@ -157,12 +157,6 @@ def _map_runs(work: list[tuple[dict, int, str]], jobs: int) -> list[dict]:
     return [_execute_run(*item) for item in work]
 
 
-def _run_group(cfg: dict, seeds: tuple[int, ...], group_dir: Path, jobs: int) -> list[dict]:
-    group_dir.mkdir(parents=True, exist_ok=True)
-    work = [(dict(cfg), seed, str(group_dir / f"seed_{seed}")) for seed in seeds]
-    return _map_runs(work, jobs)
-
-
 # ---------------------------------------------------------------------------
 # Summaries, recomputed from the logs on disk
 
@@ -257,7 +251,8 @@ def cmd_run(args) -> int:
     (spec.group_dir / "config.resolved").write_text(
         resolved_text(spec.config), encoding="utf-8"
     )
-    results = _run_group(spec.config, spec.seeds, spec.group_dir, args.jobs)
+    work = [(spec.config, seed, str(spec.group_dir / f"seed_{seed}")) for seed in spec.seeds]
+    results = _map_runs(work, args.jobs)
     summary = _summarize_group(spec.group_dir, spec.seeds)
     if summary is not None:
         _write_summary(spec.group_dir, summary)
@@ -284,30 +279,29 @@ def _parse_ratios(text: str | None) -> list[float]:
     for ratio in ratios:
         if not 0.0 <= ratio <= 1.0:
             raise ConfigError(f"prune ratio must lie in [0, 1], got {ratio}")
+    if len({f"{ratio:g}" for ratio in ratios}) != len(ratios):
+        raise ConfigError(f"--ratios {text} names one ratio directory twice")
     return ratios
 
 
 def cmd_sweep_ratio(args) -> int:
     spec = _make_spec(args)
-    ratios = _parse_ratios(args.ratios)
-    spec.group_dir.mkdir(parents=True, exist_ok=True)
-    failures = 0
-    table: list[tuple[float, dict | None]] = []
-    for ratio in sorted(ratios):
-        cfg = dict(spec.config)
-        cfg["prune.ratio"] = ratio
-        ratio_dir = spec.group_dir / f"ratio_{ratio:g}"
-        results = _run_group(cfg, spec.seeds, ratio_dir, args.jobs)
-        failures += sum(1 for r in results if r["status"] != "complete")
-        summary = _summarize_group(ratio_dir, spec.seeds)
-        if summary is not None:
-            _write_summary(ratio_dir, summary)
-        table.append((ratio, summary))
+    ratios = sorted(_parse_ratios(args.ratios))
+    ratio_dirs = {ratio: spec.group_dir / f"ratio_{ratio:g}" for ratio in ratios}
+    work = []  # every (ratio, seed) pair, for one pool
+    for ratio, ratio_dir in ratio_dirs.items():
+        ratio_dir.mkdir(parents=True, exist_ok=True)
+        cfg = {**spec.config, "prune.ratio": ratio}
+        work += [(cfg, seed, str(ratio_dir / f"seed_{seed}")) for seed in spec.seeds]
+    results = _map_runs(work, args.jobs)
+    failures = sum(1 for r in results if r["status"] != "complete")
     lines = ["ratio\tfinal_accuracy_mean\tfinal_accuracy_std\tfinal_loss_mean\tfinal_loss_std"]
-    for ratio, summary in table:
+    for ratio, ratio_dir in ratio_dirs.items():
+        summary = _summarize_group(ratio_dir, spec.seeds)
         if summary is None:
             lines.append(f"{ratio:g}\tnan\tnan\tnan\tnan")
             continue
+        _write_summary(ratio_dir, summary)
         acc, loss = summary["final_accuracy"], summary["final_loss"]
         lines.append(
             f"{ratio:g}\t{acc['mean']:.10g}\t{acc['std']:.10g}"
@@ -346,7 +340,9 @@ def ablation_config(cfg: dict, variant: str) -> dict:
 
 def cmd_ablate(args) -> int:
     spec = _make_spec(args)
-    base_seed = spec.seeds[0]
+    if len(spec.seeds) > 1:
+        raise ConfigError(f"ablate runs one seed per variant, got seeds {list(spec.seeds)}")
+    (base_seed,) = spec.seeds
     grid_dir = spec.group_dir / "ablate"
     grid_dir.mkdir(parents=True, exist_ok=True)
     work = [

@@ -10,10 +10,10 @@ set by the prune ratio. Zeroed entries stay trainable: gradients and
 optimizer state are untouched, so a weight that matters later can grow back.
 
 The ablation strategies (random column choice, pruning B by rows or by
-columns) live here too, sharing the same mask machinery, and so do the two
-decisions a strategy drives: ``tracked_norms`` names the norms a run must
-track for it, and ``prune_event`` prunes every adapter under it and returns
-one event record per adapter.
+columns) live here too, sharing the same mask machinery, and so does what a
+strategy decides: ``tracked_norms`` names the norms a run must track for it,
+``norm_widths`` their width in each layer, and ``prune_event`` prunes every
+adapter under it and returns one event record per adapter.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "apply_mask",
     "should_prune",
     "tracked_norms",
+    "norm_widths",
     "ablation_prune",
     "prune_event",
 ]
@@ -71,7 +72,7 @@ class PruneMask:
         arr = np.asarray(self.M)
         if arr.ndim != 2:
             raise ShapeError(f"mask must be a matrix, got shape {arr.shape}")
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ParameterError("mask entries must be 0 or 1")
         arr = arr.astype(np.uint8)
         row_counts = arr.sum(axis=1)
@@ -191,6 +192,16 @@ def tracked_norms(cfg: PruneConfig) -> str | None:
     if _inactive(cfg):
         return None
     return _NORM_SOURCE.get(cfg.strategy)
+
+
+def norm_widths(adapters: Mapping[str, AdapterPair], cfg: PruneConfig) -> dict[str, int]:
+    """{layer name: width} of the norms a run under cfg tracks (tracked_norms):
+    each layer's input width d2 for input norms, its rank for latent norms;
+    {} when no event reads one."""
+    norms = tracked_norms(cfg)
+    if norms is None:
+        return {}
+    return {name: pair.d2 if norms == "input" else pair.rank for name, pair in adapters.items()}
 
 
 def ablation_prune(

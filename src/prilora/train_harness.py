@@ -4,13 +4,14 @@ Each step runs in a fixed order: forward pass (collecting the per-matrix
 norms that prune_engine.tracked_norms names for the strategy), EMA update,
 backward pass over adapters and head only, optimizer step, and then, on
 interval boundaries, the prune event itself. The EMA is one ``{layer name:
-vector}`` dict of views into one buffer, which one update per step moves
-with ``TrainConfig.ema_decay``. Evaluation happens on a separate cadence and
-never touches the EMA statistics or the random streams.
+vector}`` dict of views into one zeroed buffer sized by ``norm_widths``,
+which one update per step moves with ``TrainConfig.ema_decay``. Evaluation
+happens on a separate cadence and never touches the EMA statistics or the
+random streams.
 
 Runs are deterministic functions of the config: batch order, adapter init,
 and prune randomness all come from child streams of the config seed, and a
-checkpoint restores every one of them mid-run.
+checkpoint saved under the same config restores every one of them mid-run.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from .adapter import nonzero_param_count, trainable_param_count
 from .errors import ConfigError, NumericError, ParameterError, ShapeError, TrainingDiverged
 from .model import MATRIX_KINDS, ModelDims, ToyModel, layer_shapes
 from .numerics import Rng, Tensor
-from .prune_engine import PruneConfig, ema_update, prune_event, should_prune, tracked_norms
+from .prune_engine import (
+    PruneConfig, ema_update, norm_widths, prune_event, should_prune, tracked_norms
+)
 from .rank_plan import RankPlan
 from .tasks import TaskData
 
@@ -347,10 +350,10 @@ def train(
     """Run the step loop; returns the full record plus checkpoints.
 
     checkpoint_at captures an extra snapshot right after that step, for
-    resuming under the same config; a resume_from checkpoint that tracks
-    other norms or another EMA decay raises FormatError. On a non-finite
-    loss the loop aborts with the last evaluated state attached, so callers
-    can inspect or restart from it.
+    resuming under the same config; a resume_from checkpoint saved under any
+    other TrainConfig or ModelDims, or corrupted, raises FormatError. On a
+    non-finite loss the loop aborts with the last evaluated state attached,
+    so callers can inspect or restart from it.
     """
     if task.num_outputs != model.dims.num_outputs:
         raise ConfigError(
@@ -360,23 +363,15 @@ def train(
     params = model.trainable()
     optimizer = make_optimizer(cfg.optimizer, params)
     norms = tracked_norms(cfg.prune)
-    xbars: dict[str, np.ndarray] = {}
+    widths = norm_widths(model.adapters, cfg.prune)
+    ema = np.zeros(sum(widths.values()))  # every layer's x̄, in adapter order
+    xbars = _views(ema, {name: (width,) for name, width in widths.items()})
     rngs = {"data": Rng(cfg.seed).child("data"), "prune": Rng(cfg.seed).child("prune")}
     adapter_params = trainable_param_count(model.plan, layer_shapes(model.dims, cfg.adapt_kinds))
 
     start_step = 0
     if resume_from is not None:
-        start_step = checkpoint_mod.restore_state(
-            resume_from, model, optimizer, xbars, norms, cfg.ema_decay, rngs
-        )
-        if start_step > cfg.steps:
-            raise ConfigError(
-                f"checkpoint is at step {start_step}, beyond the configured {cfg.steps}"
-            )
-    names, ema = list(model.adapters), None  # the layers' order in the EMA buffer; none yet
-    if xbars:  # restored vectors move into the buffer
-        ema = np.concatenate([xbars[name] for name in names])
-        xbars.update(_views(ema, {name: xbars[name].shape for name in names}))
+        start_step = checkpoint_mod.restore_state(resume_from, model, optimizer, xbars, cfg, rngs)
 
     coords = _pick_coords(model, cfg)
     eval_points: list[EvalPoint] = []
@@ -392,9 +387,7 @@ def train(
     traj_fp: IO[str] | None = open(trajectory_path, "w") if trajectory_path else None
 
     def snapshot(step: int) -> bytes:
-        return checkpoint_mod.capture_state(
-            model, optimizer, xbars, norms, cfg.ema_decay, step, rngs
-        )
+        return checkpoint_mod.capture_state(model, optimizer, xbars, cfg, step, rngs)
 
     def do_eval(step: int, events: list[dict]) -> None:
         nonlocal best_blob, best_acc, best_step, last_good
@@ -435,13 +428,11 @@ def train(
             loss_val = loss.item()
             if not math.isfinite(loss_val):
                 raise TrainingDiverged(step, last_good)
-            if stats:
-                x = np.concatenate([stats[name] for name in names])
-                if ema is None:  # the first observation: the EMA starts at it or steps from zeros
-                    ema = x if cfg.ema_init_first_batch else ema_update(np.zeros_like(x), x, cfg.ema_decay)
-                    xbars.update(_views(ema, {name: stats[name].shape for name in names}))
-                else:
-                    ema[...] = ema_update(ema, x, cfg.ema_decay)
+            if xbars:
+                # the first observation starts the EMA, or steps it from zeros
+                x = np.concatenate([stats[name] for name in xbars])
+                first = step == 1 and cfg.ema_init_first_batch
+                ema[...] = x if first else ema_update(ema, x, cfg.ema_decay)
             for p in params.values():
                 p.grad = None
             loss.backward()

@@ -228,6 +228,33 @@ def test_sweep_requires_valid_ratios(tmp_path):
                  "--ratios", ""]) == 1
 
 
+def test_sweep_parallel_jobs_match_serial(tmp_path):
+    # one seed and three ratios: the ratios themselves run side by side
+    cfg = write_cfg(tmp_path / "t.cfg")
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    for out, jobs in ((serial, "1"), (parallel, "2")):
+        assert main(["sweep-ratio", "--config", str(cfg), "--out", str(out),
+                     "--ratios", "0.5,0,0.25", "--jobs", jobs]) == 0
+    files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*") if p.is_file())
+    assert len([f for f in files if f.name == "metrics.jsonl"]) == 3
+    timings = ("train_seconds", "seconds_per_step")
+    for name in files:
+        a, b = (serial / name).read_bytes(), (parallel / name).read_bytes()
+        if name.name == "run.json":  # every field but the timings
+            a, b = ({k: v for k, v in json.loads(x).items() if k not in timings} for x in (a, b))
+        assert a == b, name
+
+
+def test_sweep_refuses_a_ratio_directory_named_twice(tmp_path):
+    cfg = write_cfg(tmp_path / "t.cfg")
+    out = tmp_path / "r"
+    for ratios in ("0.5,0.5", "0.25,0.250"):
+        assert main(["sweep-ratio", "--config", str(cfg), "--out", str(out),
+                     "--ratios", ratios]) == 1
+    assert not out.exists()
+
+
 def test_ratio_zero_sweep_equals_disabled_pruning(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path / "t.cfg")
     sweep_out = tmp_path / "sweep"
@@ -293,6 +320,14 @@ def test_ablate_runs_the_full_grid(tmp_path, capsys):
     rows = (grid_dir / "ablate.tsv").read_text().splitlines()
     assert len(rows) == 9
     assert capsys.readouterr().out.startswith("variant\t")
+
+
+def test_ablate_refuses_more_than_one_seed(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "t.cfg")
+    out = tmp_path / "runs"
+    assert main(["ablate", "--config", str(cfg), "--out", str(out), "--seeds", "3,4"]) == 1
+    assert "one seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ablate_rejects_non_linear_base(tmp_path):

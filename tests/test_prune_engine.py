@@ -169,8 +169,10 @@ def test_apply_mask_identity_and_total():
 
 
 def test_prune_mask_validation():
-    with pytest.raises(ParameterError):
-        PruneMask(np.array([[0, 2]]))
+    for bad in ([[0, 2]], [[0.0, 0.5]], [[1.0, np.nan]]):
+        with pytest.raises(ParameterError):
+            PruneMask(np.array(bad))
+    PruneMask(np.array([[0.0, 1.0]]))  # whole floats are 0/1 entries
     # Ragged in both directions is rejected; uniform rows or columns pass.
     with pytest.raises(ParameterError):
         PruneMask(np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0]]))

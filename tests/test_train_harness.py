@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from prilora.checkpoint import capture_state
 from prilora.errors import ConfigError, FormatError, ParameterError, ShapeError, TrainingDiverged
 from prilora.model import MATRIX_KINDS, ModelDims, ToyModel
 from prilora.numerics import Rng, Tensor
-from prilora.prune_engine import STRATEGIES, PruneConfig, tracked_norms
+from prilora.prune_engine import STRATEGIES, PruneConfig, norm_widths, tracked_norms
 from prilora.rank_plan import concentrated_plan, linear_plan, uniform_plan
 from prilora.tasks import SyntheticTask, TaskData
 from prilora.train_harness import (
@@ -50,6 +51,15 @@ def small_cfg(**kw):
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+def without_config(blob):
+    """A checkpoint's header without its config record, and its tensor
+    payload; the digest, which covers the record, is left out."""
+    (head_len,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + head_len])
+    del header["config"]
+    return header, blob[16 + head_len : -32]
 
 
 @pytest.fixture(scope="module")
@@ -370,7 +380,8 @@ def test_ratio_zero_and_strategy_none_run_identically(task):
     off = small_cfg(prune=PruneConfig(0.5, 5, "none"))
     rec_inert = train(build_model(inert, DIMS), task, inert)
     rec_off = train(build_model(off, DIMS), task, off)
-    assert rec_inert.final_checkpoint == rec_off.final_checkpoint
+    # each checkpoint records its own prune settings; everything else must match
+    assert without_config(rec_inert.final_checkpoint) == without_config(rec_off.final_checkpoint)
     for p in rec_inert.eval_points + rec_off.eval_points:
         assert p.prune_events == []
 
@@ -531,23 +542,24 @@ def test_resume_under_other_norms_or_decay_refused(task, case):
 
 
 @pytest.mark.parametrize("strategy", ["none", "random_A_cols"])
-def test_step_zero_checkpoint_resumes_under_prilora_A(task, strategy):
-    # at step 0 no run has observed a norm yet, so an empty EMA is complete
+def test_step_zero_checkpoint_under_another_strategy_refused(task, strategy):
+    # even before any norm is observed, a checkpoint resumes only the run it records
     saved = small_cfg(prune=PruneConfig(0.5, 5, strategy))
     model = build_model(saved, DIMS)
     optimizer = make_optimizer(saved.optimizer, model.trainable())
     rngs = {"data": Rng(saved.seed).child("data"), "prune": Rng(saved.seed).child("prune")}
-    blob = capture_state(model, optimizer, {}, tracked_norms(saved.prune), saved.ema_decay, 0, rngs)
+    assert norm_widths(model.adapters, saved.prune) == {}
+    blob = capture_state(model, optimizer, {}, saved, 0, rngs)
     cfg = small_cfg()
-    resumed = train(build_model(cfg, DIMS), task, cfg, resume_from=blob)
-    assert resumed.final_checkpoint == train(build_model(cfg, DIMS), task, cfg).final_checkpoint
+    with pytest.raises(FormatError, match="train.prune.strategy"):
+        train(build_model(cfg, DIMS), task, cfg, resume_from=blob)
 
 
 def test_resume_beyond_configured_steps_rejected(task):
     cfg = small_cfg(steps=20)
     full = train(build_model(cfg, DIMS), task, cfg)
     shorter = dataclasses.replace(cfg, steps=10)
-    with pytest.raises(ConfigError):
+    with pytest.raises(FormatError, match="train.steps"):
         train(build_model(shorter, DIMS), task, shorter, resume_from=full.final_checkpoint)
 
 
