@@ -1,13 +1,18 @@
 """Experiment front-end: single runs, ratio sweeps, the ablation grid, and
 plot-ready exports.
 
+Each command is a list of (config, seed, run directory) runs. Every run is
+built and checked before any directory is made, then all of them train in
+one pool; validate-config makes the same checks and trains nothing.
+
 Every run writes an isolated directory: the resolved config, line-delimited
 metrics, optional weight trajectories, and final plus best checkpoints.
-Group summaries (mean and standard deviation across seeds) are always
-recomputed from the per-seed metric logs on disk, never from in-memory
-state, so a summary can be regenerated from artifacts alone.
+Group summaries (mean and standard deviation across seeds) and the ablation
+tables are always recomputed from the per-run artifacts on disk, never from
+in-memory state, so they can be regenerated from artifacts alone.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration error, 2 runtime failure; each
+incomplete run is named on stderr.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .adapter import trainable_param_count
 from .config import (
     build_dims,
     build_plan,
@@ -36,11 +41,13 @@ from .errors import (
     FormatError,
     PriloraError,
     RankError,
+    TrainingDiverged,
 )
-from .train_harness import EvalPoint, build_model, steps_to_peak, train
-from .errors import TrainingDiverged
+from .model import ModelDims, layer_shapes
+from .tasks import SyntheticTask
+from .train_harness import EvalPoint, TrainConfig, build_model, steps_to_peak, train
 
-__all__ = ["ExperimentSpec", "ABLATION_VARIANTS", "main"]
+__all__ = ["ABLATION_VARIANTS", "main"]
 
 ABLATION_VARIANTS = (
     "full",
@@ -61,46 +68,32 @@ _VARIANT_STRATEGY = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One named experiment: a resolved config, its seeds, and where it writes."""
-
-    name: str
-    config: dict
-    seeds: tuple[int, ...]
-    out_dir: Path
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("experiment name must be non-empty")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"duplicate seeds in {self.seeds}")
-
-    @property
-    def group_dir(self) -> Path:
-        return self.out_dir / self.name
-
-
 # ---------------------------------------------------------------------------
-# Single-run execution (top level so worker processes can import it)
+# Config -> runs (top level so worker processes can import _execute_run)
 
 
-def _execute_run(cfg: dict, seed: int, run_dir: str) -> dict:
+def _specs(cfg: dict, seed: int) -> tuple[SyntheticTask, TrainConfig, ModelDims]:
+    """The task spec, training config and model dims of one run of cfg.
+
+    Checks all a run checks short of building data and weights, down to
+    every planned rank fitting the matrices it adapts.
+    """
+    task_spec = build_task(cfg, seed)
+    tcfg = build_train_config(cfg, build_plan(cfg), seed)
+    dims = build_dims(cfg, task_spec)
+    trainable_param_count(tcfg.plan, layer_shapes(dims, tcfg.adapt_kinds))
+    return task_spec, tcfg, dims
+
+
+def _execute_run(cfg: dict, seed: int, run_dir: str | Path) -> dict:
     """Train one seed and leave a full artifact set in run_dir."""
+    task_spec, tcfg, dims = _specs(cfg, seed)
     run_path = Path(run_dir)
     run_path.mkdir(parents=True, exist_ok=True)
-
-    task_spec = build_task(cfg, seed)
     task = task_spec.build()
-    plan = build_plan(cfg)
-    tcfg = build_train_config(cfg, plan, seed)
-    dims = build_dims(cfg, task_spec)
 
-    resolved = dict(cfg)
-    resolved["seed"] = seed
-    (run_path / "config.resolved").write_text(resolved_text(resolved), encoding="utf-8")
+    resolved = resolved_text({**cfg, "seed": seed})
+    (run_path / "config.resolved").write_text(resolved, encoding="utf-8")
 
     model = build_model(tcfg, dims)
     hash_before = model.base_hash()
@@ -149,12 +142,23 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _map_runs(work: list[tuple[dict, int, str]], jobs: int) -> list[dict]:
-    """_execute_run over every (cfg, seed, run_dir), in order; a pool when jobs > 1."""
+def _run_grid(work: list[tuple[dict, int, Path]], jobs: int) -> int:
+    """Check every (cfg, seed, run_dir) before any directory is made, then
+    train them all, in one pool when jobs > 1. Each incomplete run is named
+    on stderr; returns how many there were."""
+    for cfg, seed, _ in work:
+        _specs(cfg, seed)
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_execute_run, *zip(*work)))
-    return [_execute_run(*item) for item in work]
+            results = list(pool.map(_execute_run, *zip(*work)))
+    else:
+        results = [_execute_run(*item) for item in work]
+    incomplete = 0
+    for (_, _, run_dir), result in zip(work, results):
+        if result["status"] != "complete":
+            incomplete += 1
+            print(f"{run_dir} incomplete: {result.get('error', 'unknown')}", file=sys.stderr)
+    return incomplete
 
 
 # ---------------------------------------------------------------------------
@@ -222,52 +226,47 @@ def _write_summary(group_dir: Path, summary: dict) -> None:
 
 
 def _parse_seeds(text: str | None, cfg: dict) -> tuple[int, ...]:
-    """The --seeds list, or the config's seed without one; each in [0, 2**64)."""
+    """The --seeds list, or the config's seed without one; no seed twice."""
     if text is None:
         seeds: tuple[int, ...] = (int(cfg["seed"]),)
     else:
         seeds = tuple(split_list(text, "--seeds", int))
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
-    for seed in seeds:
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"duplicate seeds in {seeds}")
     return seeds
 
 
-def _make_spec(args) -> ExperimentSpec:
+def _load(args) -> tuple[dict, tuple[int, ...], Path]:
+    """The config, its seeds, and the directory its runs write under."""
     cfg = load_config(args.config)
-    return ExperimentSpec(
-        name=str(cfg["name"]),
-        config=cfg,
-        seeds=_parse_seeds(args.seeds, cfg),
-        out_dir=Path(args.out),
-    )
+    if not cfg["name"]:
+        raise ConfigError("experiment name must be non-empty")
+    group_dir = Path(getattr(args, "out", ".")) / str(cfg["name"])
+    return cfg, _parse_seeds(args.seeds, cfg), group_dir
+
+
+def _write_table(path: Path, rows: list[str]) -> None:
+    """Write rows, one per line, and echo the file to stdout."""
+    text = "\n".join(rows) + "\n"
+    path.write_text(text, encoding="utf-8")
+    print(text, end="")
 
 
 def cmd_run(args) -> int:
-    spec = _make_spec(args)
-    spec.group_dir.mkdir(parents=True, exist_ok=True)
-    (spec.group_dir / "config.resolved").write_text(
-        resolved_text(spec.config), encoding="utf-8"
-    )
-    work = [(spec.config, seed, str(spec.group_dir / f"seed_{seed}")) for seed in spec.seeds]
-    results = _map_runs(work, args.jobs)
-    summary = _summarize_group(spec.group_dir, spec.seeds)
+    cfg, seeds, group_dir = _load(args)
+    failed = _run_grid([(cfg, seed, group_dir / f"seed_{seed}") for seed in seeds], args.jobs)
+    (group_dir / "config.resolved").write_text(resolved_text(cfg), encoding="utf-8")
+    summary = _summarize_group(group_dir, seeds)
     if summary is not None:
-        _write_summary(spec.group_dir, summary)
+        _write_summary(group_dir, summary)
         acc = summary["final_accuracy"]
         print(
-            f"{spec.name}: final accuracy {acc['mean']:.4f} +/- {acc['std']:.4f} "
-            f"over {len(summary['seeds'])} seed(s) -> {spec.group_dir}"
+            f"{cfg['name']}: final accuracy {acc['mean']:.4f} +/- {acc['std']:.4f} "
+            f"over {len(summary['seeds'])} seed(s) -> {group_dir}"
         )
-    failures = [r for r in results if r["status"] != "complete"]
-    for failure in failures:
-        print(
-            f"seed {failure['seed']} incomplete: {failure.get('error', 'unknown')}",
-            file=sys.stderr,
-        )
-    return 2 if failures else 0
+    return 2 if failed else 0
 
 
 def _parse_ratios(text: str | None) -> list[float]:
@@ -276,40 +275,35 @@ def _parse_ratios(text: str | None) -> list[float]:
     ratios = split_list(text, "--ratios", float)
     if not ratios:
         raise ConfigError("--ratios must name at least one ratio")
-    for ratio in ratios:
-        if not 0.0 <= ratio <= 1.0:
-            raise ConfigError(f"prune ratio must lie in [0, 1], got {ratio}")
     if len({f"{ratio:g}" for ratio in ratios}) != len(ratios):
         raise ConfigError(f"--ratios {text} names one ratio directory twice")
     return ratios
 
 
 def cmd_sweep_ratio(args) -> int:
-    spec = _make_spec(args)
+    cfg, seeds, group_dir = _load(args)
     ratios = sorted(_parse_ratios(args.ratios))
-    ratio_dirs = {ratio: spec.group_dir / f"ratio_{ratio:g}" for ratio in ratios}
-    work = []  # every (ratio, seed) pair, for one pool
+    ratio_dirs = {ratio: group_dir / f"ratio_{ratio:g}" for ratio in ratios}
+    work = [
+        ({**cfg, "prune.ratio": ratio}, seed, ratio_dir / f"seed_{seed}")
+        for ratio, ratio_dir in ratio_dirs.items()
+        for seed in seeds
+    ]
+    failed = _run_grid(work, args.jobs)
+    rows = ["ratio\tfinal_accuracy_mean\tfinal_accuracy_std\tfinal_loss_mean\tfinal_loss_std"]
     for ratio, ratio_dir in ratio_dirs.items():
-        ratio_dir.mkdir(parents=True, exist_ok=True)
-        cfg = {**spec.config, "prune.ratio": ratio}
-        work += [(cfg, seed, str(ratio_dir / f"seed_{seed}")) for seed in spec.seeds]
-    results = _map_runs(work, args.jobs)
-    failures = sum(1 for r in results if r["status"] != "complete")
-    lines = ["ratio\tfinal_accuracy_mean\tfinal_accuracy_std\tfinal_loss_mean\tfinal_loss_std"]
-    for ratio, ratio_dir in ratio_dirs.items():
-        summary = _summarize_group(ratio_dir, spec.seeds)
+        summary = _summarize_group(ratio_dir, seeds)
         if summary is None:
-            lines.append(f"{ratio:g}\tnan\tnan\tnan\tnan")
+            rows.append(f"{ratio:g}\tnan\tnan\tnan\tnan")
             continue
         _write_summary(ratio_dir, summary)
         acc, loss = summary["final_accuracy"], summary["final_loss"]
-        lines.append(
+        rows.append(
             f"{ratio:g}\t{acc['mean']:.10g}\t{acc['std']:.10g}"
             f"\t{loss['mean']:.10g}\t{loss['std']:.10g}"
         )
-    (spec.group_dir / "sweep.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print((spec.group_dir / "sweep.tsv").read_text(encoding="utf-8"), end="")
-    return 2 if failures else 0
+    _write_table(group_dir / "sweep.tsv", rows)
+    return 2 if failed else 0
 
 
 def ablation_config(cfg: dict, variant: str) -> dict:
@@ -339,36 +333,33 @@ def ablation_config(cfg: dict, variant: str) -> dict:
 
 
 def cmd_ablate(args) -> int:
-    spec = _make_spec(args)
-    if len(spec.seeds) > 1:
-        raise ConfigError(f"ablate runs one seed per variant, got seeds {list(spec.seeds)}")
-    (base_seed,) = spec.seeds
-    grid_dir = spec.group_dir / "ablate"
-    grid_dir.mkdir(parents=True, exist_ok=True)
+    cfg, seeds, group_dir = _load(args)
+    if len(seeds) > 1:
+        raise ConfigError(f"ablate runs one seed per variant, got seeds {list(seeds)}")
+    (base_seed,) = seeds
+    grid_dir = group_dir / "ablate"
     work = [
-        (ablation_config(spec.config, variant), base_seed, str(grid_dir / variant))
+        (ablation_config(cfg, variant), base_seed, grid_dir / variant)
         for variant in ABLATION_VARIANTS
     ]
-    results = _map_runs(work, args.jobs)
-
+    failed = _run_grid(work, args.jobs)
+    grid = {
+        variant: json.loads((grid_dir / variant / "run.json").read_text(encoding="utf-8"))
+        for variant in ABLATION_VARIANTS
+    }
     rows = ["variant\tstatus\tfinal_loss\tfinal_accuracy\tadapter_params\tnonzero_final\tsteps_to_peak"]
-    grid: dict[str, dict] = {}
-    failures = 0
-    for variant, result in zip(ABLATION_VARIANTS, results):
-        grid[variant] = result
-        if result["status"] != "complete":
-            failures += 1
-            rows.append(f"{variant}\t{result['status']}\tnan\tnan\tnan\tnan\tnan")
+    for variant, run in grid.items():
+        if run["status"] != "complete":
+            rows.append(f"{variant}\t{run['status']}\tnan\tnan\tnan\tnan\tnan")
             continue
         rows.append(
-            f"{variant}\t{result['status']}\t{result['final_loss']:.10g}"
-            f"\t{result['final_accuracy']:.10g}\t{result['adapter_params']}"
-            f"\t{result['nonzero_params_final']}\t{result['steps_to_peak']}"
+            f"{variant}\t{run['status']}\t{run['final_loss']:.10g}"
+            f"\t{run['final_accuracy']:.10g}\t{run['adapter_params']}"
+            f"\t{run['nonzero_params_final']}\t{run['steps_to_peak']}"
         )
-    (grid_dir / "ablate.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     _write_json(grid_dir / "grid.json", {"base_seed": base_seed, "variants": grid})
-    print((grid_dir / "ablate.tsv").read_text(encoding="utf-8"), end="")
-    return 2 if failures else 0
+    _write_table(grid_dir / "ablate.tsv", rows)
+    return 2 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -413,38 +404,25 @@ def _export_trajectory(run_dir: Path) -> None:
 
 
 def cmd_report(args) -> int:
-    run_dirs: list[Path] = []
-    if args.out:
-        root = Path(args.out)
-        run_dirs.extend(sorted({p.parent for p in root.rglob("metrics.jsonl")}))
-    for name in args.dirs:
-        run_dirs.append(Path(name))
+    run_dirs = sorted({p.parent for p in Path(args.out).rglob("metrics.jsonl")}) if args.out else []
+    run_dirs += [Path(name) for name in args.dirs]
     if not run_dirs:
         print("report: no run directories found", file=sys.stderr)
         return 0
-    missing: list[str] = []
     for run_dir in run_dirs:
         if (run_dir / "metrics.jsonl").exists():
             _export_metrics(run_dir)
         else:
-            missing.append(str(run_dir / "metrics.jsonl"))
+            print(f"report: missing, skipped: {run_dir / 'metrics.jsonl'}", file=sys.stderr)
         if (run_dir / "trajectory.jsonl").exists():
             _export_trajectory(run_dir)
-        else:
-            missing.append(str(run_dir / "trajectory.jsonl"))
-    for path in missing:
-        print(f"report: missing, skipped: {path}", file=sys.stderr)
     return 0
 
 
 def cmd_validate_config(args) -> int:
-    cfg = load_config(args.config)
-    seeds = _parse_seeds(args.seeds, cfg)
+    cfg, seeds, _ = _load(args)
     for seed in seeds:
-        task_spec = build_task(cfg, seed)
-        plan = build_plan(cfg)
-        build_train_config(cfg, plan, seed)
-        build_dims(cfg, task_spec)
+        _specs(cfg, seed)
     sys.stdout.write(resolved_text(cfg))
     print(f"ok: valid for seeds {list(seeds)}")
     return 0
@@ -465,20 +443,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="prilora", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, ratios: bool = False) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--seeds", default=None, help="comma-separated seed list")
         p.add_argument("--out", default="runs", help="output root directory")
         p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-        if ratios:
-            p.add_argument("--ratios", default=None, help="comma-separated prune ratios")
 
     p_run = sub.add_parser("run", help="train one config across seeds")
     common(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep-ratio", help="compare prune ratios")
-    common(p_sweep, ratios=True)
+    common(p_sweep)
+    p_sweep.add_argument("--ratios", default=None, help="comma-separated prune ratios")
     p_sweep.set_defaults(func=cmd_sweep_ratio)
 
     p_ablate = sub.add_parser("ablate", help="run the eight-variant ablation grid")
@@ -502,9 +479,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        jobs = getattr(args, "jobs", 1)
-        if jobs is not None and jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (ConfigError, BudgetError, RankError, FormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -206,8 +206,8 @@ def split_list(text, what: str, cast: Callable = str) -> list:
         raise ConfigError(f"{what}: {exc}") from None
 
 
-def build_plan(cfg: Mapping[str, object], num_layers: int | None = None) -> RankPlan:
-    layers = int(cfg["model.layers"]) if num_layers is None else num_layers
+def build_plan(cfg: Mapping[str, object]) -> RankPlan:
+    layers = int(cfg["model.layers"])
     kind = cfg["plan.kind"]
     if kind == "linear":
         return linear_plan(layers, int(cfg["plan.first_rank"]), int(cfg["plan.last_rank"]))

@@ -74,8 +74,12 @@ class TrainConfig:
     trajectory_coords: int = 0
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
+        if not (math.isfinite(self.adapter_std) and self.adapter_std > 0):
+            raise ConfigError(f"adapter std must be positive and finite, got {self.adapter_std}")
+        if not math.isfinite(self.adapter_scale):
+            raise ConfigError(f"adapter scale must be finite, got {self.adapter_scale}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be positive, got {self.batch_size}")
         if self.steps < 1:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import prilora
-from prilora.cli import ABLATION_VARIANTS, ExperimentSpec, ablation_config, main
+from prilora.cli import ABLATION_VARIANTS, ablation_config, main
 from prilora.config import parse_config_text
 from prilora.errors import ConfigError
 from prilora.train_harness import EvalPoint
@@ -82,8 +82,49 @@ def test_validate_config_rejects_unknown_key(tmp_path, capsys):
 
 def test_validate_config_rejects_unbuildable_values(tmp_path, capsys):
     # parses fine, but the rank exceeds what the layer widths allow
-    cfg = write_cfg(tmp_path / "t.cfg", TINY + "plan.first_rank = 99\n")
+    cfg = write_cfg(tmp_path / "t.cfg", TINY.replace("plan.last_rank = 4", "plan.last_rank = 99"))
     assert main(["validate-config", "--config", str(cfg)]) == 1
+    assert "exceeds" in capsys.readouterr().err
+
+
+# configs each command must refuse before making any directory: every one
+# parses, and each fails a check that only building the run reaches;
+# case -> (config text, what the error says)
+UNBUILDABLE = {
+    "rank_wider_than_d_model": (
+        TINY.replace("plan.last_rank = 4", "plan.last_rank = 20"), "exceeds min(16, 16)"),
+    "unknown_adapter_kind": (TINY + "adapter.kinds = wq,wz\n", "unknown matrix kind 'wz'"),
+    "negative_adapter_std": (TINY + "adapter.std = -1\n", "adapter std must be positive"),
+}
+GRID_COMMANDS = {
+    "validate-config": ["validate-config"],
+    "run": ["run"],
+    "sweep-ratio": ["sweep-ratio", "--ratios", "0.5"],
+    "ablate": ["ablate"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+@pytest.mark.parametrize("case", sorted(UNBUILDABLE))
+def test_unbuildable_config_is_refused_before_any_write(tmp_path, capsys, command, case):
+    text, message = UNBUILDABLE[case]
+    cfg = write_cfg(tmp_path / "t.cfg", text)
+    out = tmp_path / "out"
+    argv = GRID_COMMANDS[command] + ["--config", str(cfg)]
+    if command != "validate-config":
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_name_is_refused_before_any_write(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "t.cfg", TINY.replace("name = tiny", "name ="))
+    out = tmp_path / "out"
+    assert main(["validate-config", "--config", str(cfg)]) == 1
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "name must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_is_a_config_error(capsys):
@@ -199,7 +240,7 @@ def test_divergent_run_flags_incomplete_and_exits_two(tmp_path, capsys):
     assert run["failed_step"] >= 1
     assert (seed_dir / "last_good.ckpt").exists()
     assert not (seed_dir / "final.ckpt").exists()
-    assert "incomplete" in capsys.readouterr().err
+    assert f"{seed_dir} incomplete: " in capsys.readouterr().err
 
 
 # -- sweep-ratio -----------------------------------------------------------------
@@ -244,6 +285,20 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
         if name.name == "run.json":  # every field but the timings
             a, b = ({k: v for k, v in json.loads(x).items() if k not in timings} for x in (a, b))
         assert a == b, name
+
+
+def test_diverging_sweep_names_the_incomplete_run(tmp_path, capsys):
+    text = TINY + "task.kind = linear_probe\ntrain.optimizer = sgd\ntrain.lr = 1e20\n"
+    cfg = write_cfg(tmp_path / "t.cfg", text)
+    out = tmp_path / "runs"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["sweep-ratio", "--config", str(cfg), "--out", str(out),
+                     "--ratios", "0.5"]) == 2
+    run_dir = out / "tiny" / "ratio_0.5" / "seed_0"
+    assert json.loads((run_dir / "run.json").read_text())["status"] == "incomplete"
+    assert f"{run_dir} incomplete: " in capsys.readouterr().err
+    rows = (out / "tiny" / "sweep.tsv").read_text().splitlines()
+    assert rows[1] == "0.5\tnan\tnan\tnan\tnan"
 
 
 def test_sweep_refuses_a_ratio_directory_named_twice(tmp_path):
@@ -372,6 +427,11 @@ def test_report_lists_missing_logs(tmp_path, capsys):
     assert str(absent / "metrics.jsonl") in err
     assert (present / "metrics.tsv").exists()
     assert not (absent / "metrics.tsv").exists()
+    # a run without traced coordinates never writes a trajectory log, so a
+    # directory holding only metrics.jsonl is not missing anything
+    assert main(["report", str(present)]) == 0
+    assert "missing" not in capsys.readouterr().err
+    assert not (present / "trajectory.tsv").exists()
 
 
 def test_report_with_nothing_to_do(capsys):
@@ -379,18 +439,7 @@ def test_report_with_nothing_to_do(capsys):
     assert "no run directories" in capsys.readouterr().err
 
 
-# -- spec type and entry point -----------------------------------------------------
-
-
-def test_experiment_spec_validation(tmp_path):
-    with pytest.raises(ConfigError):
-        ExperimentSpec("", {}, (1,), tmp_path)
-    with pytest.raises(ConfigError):
-        ExperimentSpec("x", {}, (), tmp_path)
-    with pytest.raises(ConfigError):
-        ExperimentSpec("x", {}, (1, 1), tmp_path)
-    spec = ExperimentSpec("x", {}, (1, 2), tmp_path)
-    assert spec.group_dir == tmp_path / "x"
+# -- entry point -------------------------------------------------------------------
 
 
 def test_console_script_is_installed(tmp_path):

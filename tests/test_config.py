@@ -139,7 +139,7 @@ def base(**overrides):
 
 
 def test_build_plan_linear_default():
-    plan = build_plan(base(), num_layers=12)
+    plan = build_plan(base(**{"model.layers": 12}))
     assert plan.ranks[0] == 2 and plan.ranks[-1] == 6
     assert plan.total == 48
 
@@ -150,7 +150,7 @@ def test_build_plan_linear_default():
     ("concentrated", (0, 6)),  # stacks plan.last_rank on the final layer
 ])
 def test_build_plan_kinds(kind, expect):
-    plan = build_plan(base(**{"plan.kind": kind}), num_layers=2)
+    plan = build_plan(base(**{"plan.kind": kind, "model.layers": 2}))
     assert plan.ranks == expect
 
 
@@ -158,7 +158,7 @@ def test_build_plan_preset_requires_matching_depth():
     plan = build_plan(base(**{"plan.kind": "preset", "model.layers": 12}))
     assert plan.ranks == deberta_base_preset().ranks
     with pytest.raises(ConfigError):
-        build_plan(base(**{"plan.kind": "preset"}), num_layers=2)
+        build_plan(base(**{"plan.kind": "preset", "model.layers": 2}))
 
 
 def test_build_plan_explicit():
@@ -201,7 +201,7 @@ def test_build_train_config_threads_everything_through():
         "adapter.kinds": "wq, wv",
         "train.warmup_steps": 10,
     })
-    plan = build_plan(cfg, num_layers=2)
+    plan = build_plan(cfg)
     tc = build_train_config(cfg, plan, seed=3)
     assert tc.prune.strategy == "B_rows"
     assert tc.prune.prune_ratio == 0.25
@@ -214,7 +214,7 @@ def test_build_train_config_threads_everything_through():
 def test_build_train_config_rejects_bad_values():
     cfg = base(**{"train.optimizer": "adagrad"})
     with pytest.raises(ConfigError):
-        build_train_config(cfg, build_plan(cfg, num_layers=2), seed=0)
+        build_train_config(cfg, build_plan(cfg), seed=0)
 
 
 def test_config_version_constant_matches_defaults():

@@ -346,6 +346,11 @@ def test_optimizer_state_kind_mismatch_rejected():
     dict(ema_decay=1.0),
     dict(trajectory_coords=-1),
     dict(seed=-1),
+    dict(lr=float("nan")),
+    dict(lr=float("inf")),
+    dict(adapter_std=float("nan")),
+    dict(adapter_std=0.0),
+    dict(adapter_scale=float("nan")),
 ])
 def test_train_config_validation(kw):
     with pytest.raises(ConfigError):
