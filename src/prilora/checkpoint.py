@@ -4,8 +4,8 @@ A checkpoint holds everything needed to continue a run bit-for-bit: every
 adapter factor, the classifier head, the EMA vector of each layer
 ``prune_engine.norm_widths`` names (saved as ``ema/<layer>``), optimizer
 slots, random-stream positions, and the step counter. It also records every
-field of the run's ``TrainConfig`` and ``ModelDims``; a resume under any
-other value of one is refused, naming the field.
+field of the run's ``TrainConfig`` and ``ModelDims`` and a digest of its task
+data; a resume under any other value of one is refused, naming the field.
 
 Layout: magic, format version, a canonical JSON header (sorted keys, no
 whitespace), the tensor payloads in the exact order the header lists, and
@@ -29,16 +29,17 @@ from .errors import FormatError, ShapeError
 from .numerics import Rng, read_tensor, tensor_to_bytes
 
 MAGIC = b"PRLC"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DIGEST_BYTES = 32  # the SHA-256 that ends the file
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "capture_state", "restore_state"]
 
 
-def _record(cfg, model) -> dict:
-    """The run as the header records it: its config, dims and adapter ranks."""
+def _record(cfg, model, task: str) -> dict:
+    """The run as the header records it: its config, dims, task digest and
+    adapter ranks."""
     return {
-        "config": {"train": asdict(cfg), "dims": asdict(model.dims)},
+        "config": {"train": asdict(cfg), "dims": asdict(model.dims), "task": task},
         "adapters": [{"name": name, "rank": pair.rank} for name, pair in model.adapters.items()],
     }
 
@@ -50,9 +51,11 @@ def capture_state(
     cfg,
     step: int,
     rngs: Mapping[str, Rng],
+    task: str,
 ) -> bytes:
     """The run's state as checkpoint bytes; cfg is the TrainConfig it runs
-    under and xbars its EMA vector for each layer norm_widths names."""
+    under, xbars its EMA vector for each layer norm_widths names and task the
+    fingerprint of its task data."""
     params = model.trainable()
     opt_state = optimizer.state_dict()
 
@@ -62,7 +65,7 @@ def capture_state(
         tensors += [(f"opt/{slot}/{pname}", opt_state[slot][pname]) for pname in params]
 
     header = {
-        **_record(cfg, model),
+        **_record(cfg, model, task),
         "step": int(step),
         "optimizer": {"kind": opt_state["kind"], "t": opt_state["t"], "slots": list(opt_state["slots"])},
         "rng": {tag: rngs[tag].get_state() for tag in sorted(rngs)},
@@ -98,12 +101,12 @@ def _flat(obj, prefix: str = "") -> dict:
     return out
 
 
-def _parse(blob: bytes, model, xbars, cfg) -> tuple[dict, dict[str, np.ndarray]]:
+def _parse(blob: bytes, model, xbars, cfg, task: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Header and tensors of a checkpoint, checked against the live run: the
     magic, version and digest, the type of each header field restore_state
-    reads, the recorded config against cfg and the model's dims field by
-    field, the adapter layout, and exactly the tensors the run reads, each at
-    its live shape, with finite, nonnegative EMA vectors."""
+    reads, the recorded config against cfg, the model's dims and task field
+    by field, the adapter layout, and exactly the tensors the run reads,
+    each at its live shape, with finite, nonnegative EMA vectors."""
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise FormatError("not a checkpoint: bad magic")
     (version,) = struct.unpack_from("<I", blob, 4)
@@ -125,7 +128,7 @@ def _parse(blob: bytes, model, xbars, cfg) -> tuple[dict, dict[str, np.ndarray]]
     if not all(isinstance(name, str) for name in opt["slots"] + header["tensors"]):
         raise FormatError("checkpoint header: slot and tensor lists must hold names")
 
-    live = json.loads(json.dumps(_record(cfg, model)))  # tuples as lists, as saved
+    live = json.loads(json.dumps(_record(cfg, model, task)))  # tuples as lists, as saved
     saved, live_config = _flat(header["config"]), _flat(live["config"])
     for key in sorted(saved.keys() | live_config.keys()):
         if saved.get(key, ...) != live_config.get(key, ...):  # JSON holds no Ellipsis
@@ -173,18 +176,20 @@ def restore_state(
     xbars: Mapping[str, np.ndarray],
     cfg,
     rngs: Mapping[str, Rng],
+    task: str,
 ) -> int:
     """Load a checkpoint into live objects; returns the stored step.
 
     The model must already be built with the same plan and adapter layout,
     and xbars must hold its EMA vector for each layer norm_widths names;
     tensors and EMA vectors are written in place, so optimizer bindings and
-    views stay valid. A checkpoint saved under another TrainConfig than cfg
-    or another ModelDims than the model's, a corrupted one, or one that lacks
-    a random stream the run needs, is refused. Every check runs before the
-    first write, so a rejected checkpoint leaves the live objects as they were.
+    views stay valid. A checkpoint saved under another TrainConfig than cfg,
+    another ModelDims than the model's or another task digest than task, a
+    corrupted one, or one that lacks a random stream the run needs, is
+    refused. Every check runs before the first write, so a rejected
+    checkpoint leaves the live objects as they were.
     """
-    header, arrays = _parse(blob, model, xbars, cfg)
+    header, arrays = _parse(blob, model, xbars, cfg, task)
     params = model.trainable()
 
     saved_rng = {tag: header["rng"].get(tag, {}) for tag in rngs}  # a missing one fails below

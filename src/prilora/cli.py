@@ -6,7 +6,7 @@ built and checked before any directory is made, then all of them train in
 one pool; validate-config makes the same checks and trains nothing.
 
 Every run writes an isolated directory: the resolved config, line-delimited
-metrics, optional weight trajectories, and final plus best checkpoints.
+metrics with each prune event's record, and final plus best checkpoints.
 Group summaries (mean and standard deviation across seeds) and the ablation
 tables are always recomputed from the per-run artifacts on disk, never from
 in-memory state, so they can be regenerated from artifacts alone.
@@ -98,15 +98,8 @@ def _execute_run(cfg: dict, seed: int, run_dir: str | Path) -> dict:
     model = build_model(tcfg, dims)
     hash_before = model.base_hash()
     summary: dict = {"name": cfg["name"], "seed": seed, "status": "complete"}
-    trajectory_path = run_path / "trajectory.jsonl" if tcfg.trajectory_coords > 0 else None
     try:
-        record = train(
-            model,
-            task,
-            tcfg,
-            metrics_path=run_path / "metrics.jsonl",
-            trajectory_path=trajectory_path,
-        )
+        record = train(model, task, tcfg, metrics_path=run_path / "metrics.jsonl")
     except TrainingDiverged as exc:
         if exc.last_good_checkpoint is not None:
             (run_path / "last_good.ckpt").write_bytes(exc.last_good_checkpoint)
@@ -166,8 +159,15 @@ def _run_grid(work: list[tuple[dict, int, Path]], jobs: int) -> int:
 
 
 def _read_points(metrics_path: Path) -> list[EvalPoint]:
-    lines = metrics_path.read_text(encoding="utf-8").splitlines()
-    return [EvalPoint.from_json(line) for line in lines if line.strip()]
+    """The eval points of a metrics log; a line that is not one names itself."""
+    points = []
+    for lineno, line in enumerate(metrics_path.read_text(encoding="utf-8").splitlines(), 1):
+        if line.strip():
+            try:
+                points.append(EvalPoint.from_json(line))
+            except (ValueError, TypeError) as exc:
+                raise FormatError(f"{metrics_path}:{lineno}: not an eval point: {exc}") from None
+    return points
 
 
 def _summarize_group(group_dir: Path, seeds: tuple[int, ...]) -> dict | None:
@@ -367,6 +367,9 @@ def cmd_ablate(args) -> int:
 
 
 def _export_metrics(run_dir: Path) -> None:
+    """metrics.tsv and nonzero.tsv, one row per eval point, and
+    prune_events.tsv, one row per prune event record; a record that lacks a
+    column (one logged before that count existed) leaves its cell empty."""
     points = _read_points(run_dir / "metrics.jsonl")
     lines = ["step\tloss\taccuracy\tnonzero_params\tadapter_params\tnonzero_fraction"]
     nz_lines = ["step\tnonzero_fraction"]
@@ -379,28 +382,11 @@ def _export_metrics(run_dir: Path) -> None:
         nz_lines.append(f"{p.step}\t{fraction:.10g}")
     (run_dir / "metrics.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (run_dir / "nonzero.tsv").write_text("\n".join(nz_lines) + "\n", encoding="utf-8")
-
-
-def _export_trajectory(run_dir: Path) -> None:
-    rows = [
-        json.loads(line)
-        for line in (run_dir / "trajectory.jsonl").read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
-    if not rows:
-        (run_dir / "trajectory.tsv").write_text(
-            "step\tloss\tprune_event\n", encoding="utf-8"
-        )
-        return
-    labels = sorted(rows[0]["values"])
-    header = "step\tloss\tprune_event\t" + "\t".join(labels)
-    lines = [header]
-    for row in rows:
-        values = "\t".join(f"{row['values'][label]:.10g}" for label in labels)
-        lines.append(
-            f"{row['step']}\t{row['loss']:.10g}\t{int(row['prune_event'])}\t{values}"
-        )
-    (run_dir / "trajectory.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = ("step", "layer", "strategy", "ratio", "zeros_written", "min_row_zeros", "nonzero")
+    ev_lines = ["\t".join(columns)]
+    for p in points:
+        ev_lines += ["\t".join(str(e.get(c, "")) for c in columns) for e in p.prune_events]
+    (run_dir / "prune_events.tsv").write_text("\n".join(ev_lines) + "\n", encoding="utf-8")
 
 
 def cmd_report(args) -> int:
@@ -414,8 +400,6 @@ def cmd_report(args) -> int:
             _export_metrics(run_dir)
         else:
             print(f"report: missing, skipped: {run_dir / 'metrics.jsonl'}", file=sys.stderr)
-        if (run_dir / "trajectory.jsonl").exists():
-            _export_trajectory(run_dir)
     return 0
 
 

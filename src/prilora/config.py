@@ -79,7 +79,6 @@ FIELDS: dict[str, tuple[type, str]] = {
     "train.warmup_steps": (TrainConfig, "warmup_steps"),
     "train.ema_decay": (TrainConfig, "ema_decay"),
     "train.ema_init_first_batch": (TrainConfig, "ema_init_first_batch"),
-    "train.trajectory_coords": (TrainConfig, "trajectory_coords"),
     "adapter.std": (TrainConfig, "adapter_std"),
     "adapter.scale": (TrainConfig, "adapter_scale"),
 }

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .adapter import AdapterPair
+from .adapter import AdapterPair, nonzero_param_count
 from .errors import ConfigError, NumericError, ParameterError, ShapeError
 from .numerics import Rng, Tensor
 
@@ -252,7 +252,10 @@ def prune_event(
     """Prune every adapter once under cfg.strategy; one event record each.
 
     xbars holds each layer's EMA of the norms its strategy scores with (see
-    tracked_norms); random_A_cols draws from rng instead.
+    tracked_norms); random_A_cols draws from rng instead. Each record also
+    counts, right after its mask lands, the adapter's live A and B entries
+    (nonzero) and the fewest exact zeros in any row of the pruned factor
+    (min_row_zeros).
     """
     events: list[dict] = []
     for name, pair in adapters.items():
@@ -262,6 +265,7 @@ def prune_event(
             pair.A.data[...] = apply_mask(pair.A.data, mask)
         else:
             mask = ablation_prune(pair, xbar, cfg, rng)
+        pruned = pair.B.data if cfg.strategy in ("B_rows", "B_cols") else pair.A.data
         events.append(
             {
                 "step": step,
@@ -269,6 +273,8 @@ def prune_event(
                 "strategy": cfg.strategy,
                 "ratio": cfg.prune_ratio,
                 "zeros_written": mask.zeros_written,
+                "min_row_zeros": int((pruned == 0).sum(axis=1).min()),
+                "nonzero": nonzero_param_count([pair]),
             }
         )
     return events

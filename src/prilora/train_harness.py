@@ -20,7 +20,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, IO
+from typing import IO
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class TrainConfig:
     adapt_kinds: tuple[str, ...] = MATRIX_KINDS
     ema_decay: float = 0.9
     ema_init_first_batch: bool = False
-    trajectory_coords: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -96,8 +95,6 @@ class TrainConfig:
             )
         if not 0.0 < self.ema_decay < 1.0:
             raise ConfigError(f"EMA decay must lie in (0, 1), got {self.ema_decay}")
-        if self.trajectory_coords < 0:
-            raise ConfigError("trajectory coordinate count must be nonnegative")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
@@ -122,7 +119,6 @@ class EvalPoint:
 @dataclass
 class RunRecord:
     eval_points: list[EvalPoint]
-    trajectory: list[dict]
     steps: int
     train_seconds: float
     final_checkpoint: bytes
@@ -312,32 +308,8 @@ def steps_to_peak(record: RunRecord) -> int:
     return best.step
 
 
-def _pick_coords(model: ToyModel, cfg: TrainConfig) -> list[tuple[str, str, int, int]]:
-    """A few fixed A-matrix coordinates to trace through training."""
-    if cfg.trajectory_coords == 0 or not model.adapters:
-        return []
-    rng = Rng(cfg.seed).child("trajectory")
-    names = list(model.adapters)
-    coords: list[tuple[str, str, int, int]] = []
-    seen: set[tuple[str, int, int]] = set()
-    guard = 0
-    while len(coords) < cfg.trajectory_coords and guard < 100 * cfg.trajectory_coords + 100:
-        guard += 1
-        name = names[int(rng.integers(0, len(names)))]
-        pair = model.adapters[name]
-        i = int(rng.integers(0, pair.rank))
-        j = int(rng.integers(0, pair.d2))
-        if (name, i, j) in seen:
-            continue
-        seen.add((name, i, j))
-        coords.append((f"{name}.A[{i},{j}]", name, i, j))
-    return coords
-
-
 # ---------------------------------------------------------------------------
 # The loop
-
-
 
 
 def train(
@@ -346,18 +318,17 @@ def train(
     cfg: TrainConfig,
     *,
     metrics_path=None,
-    trajectory_path=None,
-    prune_observer: Callable[[int, ToyModel, list[dict]], None] | None = None,
     resume_from: bytes | None = None,
     checkpoint_at: int | None = None,
 ) -> RunRecord:
     """Run the step loop; returns the full record plus checkpoints.
 
-    checkpoint_at captures an extra snapshot right after that step, for
-    resuming under the same config; a resume_from checkpoint saved under any
-    other TrainConfig or ModelDims, or corrupted, raises FormatError. On a
-    non-finite loss the loop aborts with the last evaluated state attached,
-    so callers can inspect or restart from it.
+    checkpoint_at captures an extra snapshot right after that step, which
+    must be one this call runs, for resuming under the same config and task; a
+    resume_from checkpoint saved under any other TrainConfig, ModelDims or
+    task data, or corrupted, raises FormatError. On a non-finite loss the loop
+    aborts with the last evaluated state attached, so callers can inspect or
+    restart from it.
     """
     if task.num_outputs != model.dims.num_outputs:
         raise ConfigError(
@@ -372,14 +343,21 @@ def train(
     xbars = _views(ema, {name: (width,) for name, width in widths.items()})
     rngs = {"data": Rng(cfg.seed).child("data"), "prune": Rng(cfg.seed).child("prune")}
     adapter_params = trainable_param_count(model.plan, layer_shapes(model.dims, cfg.adapt_kinds))
+    task_digest = numerics.fingerprint(
+        [task.train_tokens, task.train_targets, task.eval_tokens, task.eval_targets]
+    )
 
     start_step = 0
     if resume_from is not None:
-        start_step = checkpoint_mod.restore_state(resume_from, model, optimizer, xbars, cfg, rngs)
+        start_step = checkpoint_mod.restore_state(
+            resume_from, model, optimizer, xbars, cfg, rngs, task_digest
+        )
+    if checkpoint_at is not None and not start_step < checkpoint_at <= cfg.steps:
+        raise ParameterError(
+            f"checkpoint_at must lie in [{start_step + 1}, {cfg.steps}], got {checkpoint_at}"
+        )
 
-    coords = _pick_coords(model, cfg)
     eval_points: list[EvalPoint] = []
-    trajectory: list[dict] = []
     train_seconds = 0.0
     best_blob: bytes | None = None
     best_acc = -math.inf
@@ -388,10 +366,9 @@ def train(
     mid_blob: bytes | None = None
 
     metrics_fp: IO[str] | None = open(metrics_path, "w") if metrics_path else None
-    traj_fp: IO[str] | None = open(trajectory_path, "w") if trajectory_path else None
 
     def snapshot(step: int) -> bytes:
-        return checkpoint_mod.capture_state(model, optimizer, xbars, cfg, step, rngs)
+        return checkpoint_mod.capture_state(model, optimizer, xbars, cfg, step, rngs, task_digest)
 
     def do_eval(step: int, events: list[dict]) -> None:
         nonlocal best_blob, best_acc, best_step, last_good
@@ -445,25 +422,10 @@ def train(
             events: list[dict] = []
             if should_prune(step, cfg.prune):
                 events = prune_event(model.adapters, cfg.prune, xbars, rngs["prune"], step)
-                if prune_observer is not None:
-                    prune_observer(step, model, events)
             train_seconds += time.perf_counter() - t0
             if checkpoint_at == step:
                 mid_blob = snapshot(step)
 
-            if coords:
-                row = {
-                    "step": step,
-                    "loss": loss_val,
-                    "prune_event": bool(events),
-                    "values": {
-                        label: float(model.adapters[name].A.data[i, j])
-                        for label, name, i, j in coords
-                    },
-                }
-                trajectory.append(row)
-                if traj_fp is not None:
-                    traj_fp.write(json.dumps(row, sort_keys=True) + "\n")
             pending_events.extend(events)
             if step % cfg.eval_interval == 0 or step == cfg.steps:
                 do_eval(step, pending_events)
@@ -471,8 +433,6 @@ def train(
     finally:
         if metrics_fp is not None:
             metrics_fp.close()
-        if traj_fp is not None:
-            traj_fp.close()
 
     final_blob = snapshot(cfg.steps)
     if best_blob is None:
@@ -480,7 +440,6 @@ def train(
         best_step = cfg.steps
     return RunRecord(
         eval_points=eval_points,
-        trajectory=trajectory,
         steps=cfg.steps,
         train_seconds=train_seconds,
         final_checkpoint=final_blob,

@@ -68,25 +68,7 @@ def reference_run():
     cfg = golden_train_config()
     model = build_model(cfg, dims)
     hash_before = model.base_hash()
-
-    sparsity_log = []
-
-    def record_sparsity(step, m, events):
-        # runs right after the masks land, before any optimizer step can
-        # overwrite the zeros
-        rows = {
-            name: (int((pair.A.data == 0.0).sum(axis=1).min()), pair.A.data.shape[1])
-            for name, pair in m.adapters.items()
-        }
-        sparsity_log.append(
-            {
-                "step": step,
-                "rows": rows,
-                "nonzero": adapter.nonzero_param_count(m.adapters.values()),
-            }
-        )
-
-    record = train(model, task, cfg, prune_observer=record_sparsity)
+    record = train(model, task, cfg)
     return SimpleNamespace(
         dims=dims,
         task=task,
@@ -94,7 +76,6 @@ def reference_run():
         model=model,
         record=record,
         hash_before=hash_before,
-        sparsity_log=sparsity_log,
         trainable=adapter.trainable_param_count(cfg.plan, layer_shapes(dims)),
     )
 
@@ -161,15 +142,23 @@ def test_criterion_05_sparsity_after_every_prune_event(reference_run):
     run = reference_run
     interval = run.cfg.prune.interval_steps
     expected_steps = list(range(interval, run.cfg.steps + 1, interval))
-    assert [e["step"] for e in run.sparsity_log] == expected_steps
-    assert len(run.sparsity_log) == 12
+    # each record counts its adapter right after the mask lands, before any
+    # optimizer step can overwrite the zeros
+    by_step: dict[int, list[dict]] = {}
+    for point in run.record.eval_points:
+        for event in point.prune_events:
+            by_step.setdefault(event["step"], []).append(event)
+    assert list(by_step) == expected_steps
+    assert len(by_step) == 12
 
-    for event in run.sparsity_log:
-        for name, (min_zeros, width) in event["rows"].items():
-            assert min_zeros >= width // 2, f"step {event['step']}, {name}"
+    for step, events in by_step.items():
+        assert [e["layer"] for e in events] == list(run.model.adapters)
+        for e in events:
+            width = run.model.adapters[e["layer"]].d2
+            assert e["min_row_zeros"] >= width // 2, f"step {step}, {e['layer']}"
         # with these layer shapes half-empty A matrices cap the live share
         # of the whole adapter budget at three quarters
-        assert event["nonzero"] <= 0.75 * run.trainable
+        assert sum(e["nonzero"] for e in events) <= 0.75 * run.trainable
 
 
 def test_criterion_06_pruned_weights_regrow():

@@ -25,6 +25,7 @@ DIMS = ModelDims(num_layers=2, d_model=16, num_heads=2, d_ff=32,
 CFG = TrainConfig(plan=linear_plan(2, 2, 4), steps=20)  # prilora_A: input norms
 LATENT_CFG = dataclasses.replace(CFG, prune=PruneConfig(strategy="B_rows"))
 CFGS = {"input": CFG, "latent": LATENT_CFG}
+TASK = "7a5c" * 16  # stands in for the task-data fingerprint train() records
 
 
 def fresh(cfg=CFG, seed=3):
@@ -61,27 +62,27 @@ def populated_state(seed=3, cfg=CFG):
 
 def make_blob(step=0, cfg=CFG):
     model, optimizer, xbars, rngs = populated_state(cfg=cfg)
-    return capture_state(model, optimizer, xbars, cfg, step, rngs)
+    return capture_state(model, optimizer, xbars, cfg, step, rngs, TASK)
 
 
 def test_blob_leads_with_magic_and_version():
     blob = make_blob()
     assert blob[:4] == MAGIC
-    assert struct.unpack_from("<I", blob, 4)[0] == FORMAT_VERSION == 2
+    assert struct.unpack_from("<I", blob, 4)[0] == FORMAT_VERSION == 3
     assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
 
 
 def test_save_load_save_is_bitwise():
     for cfg in CFGS.values():
         model, optimizer, xbars, rngs = populated_state(cfg=cfg)
-        blob = capture_state(model, optimizer, xbars, cfg, 17, rngs)
+        blob = capture_state(model, optimizer, xbars, cfg, 17, rngs, TASK)
 
         model2, optimizer2 = fresh(cfg)
         xbars2 = zero_xbars(model2, cfg)
         rngs2 = {"data": Rng(7).child("data"), "prune": Rng(7).child("prune")}
-        step = restore_state(blob, model2, optimizer2, xbars2, cfg, rngs2)
+        step = restore_state(blob, model2, optimizer2, xbars2, cfg, rngs2, TASK)
         assert step == 17
-        assert capture_state(model2, optimizer2, xbars2, cfg, 17, rngs2) == blob
+        assert capture_state(model2, optimizer2, xbars2, cfg, 17, rngs2, TASK) == blob
 
 
 def test_header_layout_matches_the_committed_golden():
@@ -96,13 +97,13 @@ def test_header_layout_matches_the_committed_golden():
 
 def test_restore_rehydrates_every_slot():
     model, optimizer, xbars, rngs = populated_state()
-    blob = capture_state(model, optimizer, xbars, CFG, 5, rngs)
+    blob = capture_state(model, optimizer, xbars, CFG, 5, rngs, TASK)
 
     model2, optimizer2 = fresh(seed=4)  # different init, same layout
     xbars2 = zero_xbars(model2)
     held = dict(xbars2)
     rngs2 = {"data": Rng(9).child("data")}
-    restore_state(blob, model2, optimizer2, xbars2, CFG, rngs2)
+    restore_state(blob, model2, optimizer2, xbars2, CFG, rngs2, TASK)
 
     for name, t in model.trainable().items():
         assert np.array_equal(t.data, model2.trainable()[name].data), name
@@ -123,7 +124,7 @@ def test_restore_does_not_rebind_tensors():
     blob = make_blob(step=5)
     model2, optimizer2 = fresh()
     held = model2.adapters["blocks.0.wq"].A
-    restore_state(blob, model2, optimizer2, zero_xbars(model2), CFG, {})
+    restore_state(blob, model2, optimizer2, zero_xbars(model2), CFG, {}, TASK)
     assert model2.adapters["blocks.0.wq"].A is held
 
 
@@ -133,51 +134,53 @@ def test_restore_refuses_xbars_of_another_layout():
     model2, optimizer2 = fresh()
     for xbars in ({}, {**zero_xbars(model2), "blocks.0.wq": np.zeros(3)}):
         with pytest.raises(FormatError, match="ema/"):
-            restore_state(blob, model2, optimizer2, xbars, CFG, {})
+            restore_state(blob, model2, optimizer2, xbars, CFG, {}, TASK)
         assert optimizer2.t == 0
 
 
 def test_bad_magic_rejected():
     blob = make_blob()
     with pytest.raises(FormatError, match="bad magic"):
-        restore_state(b"XXXX" + blob[4:], *fresh(), {}, CFG, {})
+        restore_state(b"XXXX" + blob[4:], *fresh(), {}, CFG, {}, TASK)
 
 
 def test_unknown_version_rejected():
-    blob = bytearray(make_blob())
-    struct.pack_into("<I", blob, 4, 1)  # a version-1 file
-    with pytest.raises(FormatError, match="unsupported checkpoint format version 1"):
-        restore_state(bytes(blob), *fresh(), {}, CFG, {})
+    # format 2 files carry no task digest, so they are refused like format 1
+    for version in (1, 2):
+        blob = bytearray(make_blob())
+        struct.pack_into("<I", blob, 4, version)
+        with pytest.raises(FormatError, match=f"unsupported checkpoint format version {version}"):
+            restore_state(bytes(blob), *fresh(), {}, CFG, {}, TASK)
 
 
 def test_truncated_payload_rejected():
     blob = make_blob()
     with pytest.raises(FormatError, match="digest"):
-        restore_state(blob[:-9], *fresh(), {}, CFG, {})
+        restore_state(blob[:-9], *fresh(), {}, CFG, {}, TASK)
     with pytest.raises(FormatError):
-        restore_state(blob[:10], *fresh(), {}, CFG, {})
+        restore_state(blob[:10], *fresh(), {}, CFG, {}, TASK)
     # behind a valid digest, a cut payload reaches the tensor reader and a
     # header length beyond the file the header check
     with pytest.raises(FormatError, match="checkpoint tensor"):
-        restore_state(sign(blob[:-32][:-9]), *fresh(), {}, CFG, {})
+        restore_state(sign(blob[:-32][:-9]), *fresh(), {}, CFG, {}, TASK)
     with pytest.raises(FormatError, match="truncated inside header"):
         restore_state(sign(blob[:8] + struct.pack("<Q", len(blob)) + blob[16:-32]),
-                      *fresh(), {}, CFG, {})
+                      *fresh(), {}, CFG, {}, TASK)
 
 
 def test_trailing_bytes_rejected():
     blob = make_blob()
     with pytest.raises(FormatError, match="digest"):
-        restore_state(blob + b"\x00", *fresh(), {}, CFG, {})
+        restore_state(blob + b"\x00", *fresh(), {}, CFG, {}, TASK)
     with pytest.raises(FormatError, match="trailing bytes"):
-        restore_state(sign(blob[:-32] + b"\x00"), *fresh(), {}, CFG, {})
+        restore_state(sign(blob[:-32] + b"\x00"), *fresh(), {}, CFG, {}, TASK)
 
 
 def test_corrupt_header_rejected():
     blob = bytearray(make_blob()[:-32])
     blob[16] = 0xFF  # header starts right after the fixed prefix
     with pytest.raises(FormatError, match="unreadable checkpoint header"):
-        restore_state(sign(bytes(blob)), *fresh(), {}, CFG, {})
+        restore_state(sign(bytes(blob)), *fresh(), {}, CFG, {}, TASK)
 
 
 def test_plan_mismatch_rejected():
@@ -185,7 +188,7 @@ def test_plan_mismatch_rejected():
     other_cfg = dataclasses.replace(CFG, plan=uniform_plan(2, 3))
     other, optimizer = fresh(other_cfg)
     with pytest.raises(FormatError, match="train.plan.ranks"):
-        restore_state(blob, other, optimizer, zero_xbars(other), other_cfg, {})
+        restore_state(blob, other, optimizer, zero_xbars(other), other_cfg, {}, TASK)
 
 
 def test_adapter_set_mismatch_rejected():
@@ -193,7 +196,7 @@ def test_adapter_set_mismatch_rejected():
     other = ToyModel.build(DIMS, CFG.plan, Rng(3).child("model"), adapt_kinds=("wq", "wv"))
     with pytest.raises(FormatError, match="adapter names and ranks"):
         restore_state(blob, other, make_optimizer("adam", other.trainable()),
-                      zero_xbars(other), CFG, {})
+                      zero_xbars(other), CFG, {}, TASK)
 
 
 def test_optimizer_kind_mismatch_rejected():
@@ -201,7 +204,7 @@ def test_optimizer_kind_mismatch_rejected():
     model2, _ = fresh()
     with pytest.raises(ConfigError):
         restore_state(blob, model2, make_optimizer("sgd", model2.trainable()),
-                      zero_xbars(model2), CFG, {})
+                      zero_xbars(model2), CFG, {}, TASK)
 
 
 # -- malformed headers: rejected before any live object changes ----------------
@@ -242,7 +245,7 @@ def restore_into_other_model(blob, cfg=CFG):
     before = {k: t.data.copy() for k, t in model.trainable().items()}
     error = None
     try:
-        restore_state(blob, model, optimizer, xbars, cfg, rngs)
+        restore_state(blob, model, optimizer, xbars, cfg, rngs, TASK)
     except FormatError as exc:
         error = exc
         assert optimizer.t == 0
@@ -384,7 +387,6 @@ OTHER_VALUES = {
         "adapt_kinds": ("wq", "wv"),
         "ema_decay": 0.5,
         "ema_init_first_batch": True,
-        "trajectory_coords": 2,
     },
     "dims": {
         "num_layers": 3,
@@ -413,7 +415,17 @@ def test_resume_under_another_value_of_any_recorded_field_refused(part, name):
         model.dims = dataclasses.replace(DIMS, **{name: OTHER_VALUES[part][name]})
     before = {k: t.data.copy() for k, t in model.trainable().items()}
     with pytest.raises(FormatError, match=rf"saved with {part}\.{name}\b"):
-        restore_state(BLOB, model, optimizer, zero_xbars(model), cfg, {})
+        restore_state(BLOB, model, optimizer, zero_xbars(model), cfg, {}, TASK)
+    assert optimizer.t == 0
+    for k, t in model.trainable().items():
+        assert np.array_equal(t.data, before[k]), k
+
+
+def test_resume_under_another_task_refused():
+    model, optimizer = fresh(seed=4)
+    before = {k: t.data.copy() for k, t in model.trainable().items()}
+    with pytest.raises(FormatError, match=rf"saved with task = '{TASK}', this run has '0+'"):
+        restore_state(BLOB, model, optimizer, zero_xbars(model), CFG, {}, "0" * 64)
     assert optimizer.t == 0
     for k, t in model.trainable().items():
         assert np.array_equal(t.data, before[k]), k

@@ -39,7 +39,6 @@ train.steps = 30
 train.eval_interval = 15
 train.warmup_steps = 5
 train.batch_size = 8
-train.trajectory_coords = 2
 """
 
 
@@ -160,8 +159,7 @@ def test_bad_seed_and_job_flags(tmp_path, capsys):
 def test_run_leaves_a_complete_artifact_set(tiny_run):
     _, group = tiny_run
     seed_dir = group / "seed_0"
-    for name in ("config.resolved", "metrics.jsonl", "trajectory.jsonl",
-                 "final.ckpt", "best.ckpt", "run.json"):
+    for name in ("config.resolved", "metrics.jsonl", "final.ckpt", "best.ckpt", "run.json"):
         assert (seed_dir / name).exists(), name
     assert (group / "config.resolved").exists()
     assert (group / "summary.json").exists()
@@ -406,13 +404,17 @@ def test_report_exports_plot_tables(tiny_run, capsys):
     nz_rows = (seed_dir / "nonzero.tsv").read_text().splitlines()
     assert len(nz_rows) == len(points) + 1
 
-    traj_rows = (seed_dir / "trajectory.tsv").read_text().splitlines()
-    assert len(traj_rows) == 30 + 1  # one row per training step
-    header = traj_rows[0].split("\t")
-    assert header[:3] == ["step", "loss", "prune_event"]
-    assert len(header) == 5  # two traced coordinates
-    flagged = [row.split("\t")[0] for row in traj_rows[1:] if row.split("\t")[2] == "1"]
-    assert flagged == ["10", "20", "30"]
+    event_rows = (seed_dir / "prune_events.tsv").read_text().splitlines()
+    assert event_rows[0] == "step\tlayer\tstrategy\tratio\tzeros_written\tmin_row_zeros\tnonzero"
+    events = [e for p in points for e in p.prune_events]
+    assert len(events) == 3 * 12  # three events over 12 adapted matrices
+    assert len(event_rows) == len(events) + 1
+    assert event_rows[1:] == [
+        f"{e['step']}\t{e['layer']}\t{e['strategy']}\t{e['ratio']}\t{e['zeros_written']}"
+        f"\t{e['min_row_zeros']}\t{e['nonzero']}"
+        for e in events
+    ]
+    assert sorted({row.split("\t")[0] for row in event_rows[1:]}) == ["10", "20", "30"]
 
 
 def test_report_lists_missing_logs(tmp_path, capsys):
@@ -427,11 +429,32 @@ def test_report_lists_missing_logs(tmp_path, capsys):
     assert str(absent / "metrics.jsonl") in err
     assert (present / "metrics.tsv").exists()
     assert not (absent / "metrics.tsv").exists()
-    # a run without traced coordinates never writes a trajectory log, so a
-    # directory holding only metrics.jsonl is not missing anything
+    # a directory holding only metrics.jsonl is not missing anything
     assert main(["report", str(present)]) == 0
     assert "missing" not in capsys.readouterr().err
-    assert not (present / "trajectory.tsv").exists()
+    assert (present / "prune_events.tsv").read_text().count("\n") == 1  # header only
+
+
+def test_report_leaves_counts_an_older_event_record_lacks_empty(tmp_path):
+    older = {"step": 40, "layer": "blocks.0.wq", "strategy": "prilora_A", "ratio": 0.5,
+             "zeros_written": 32}  # logged before min_row_zeros and nonzero existed
+    (tmp_path / "metrics.jsonl").write_text(EvalPoint(40, 0.7, 0.5, 10, 20, [older]).to_json())
+    assert main(["report", str(tmp_path)]) == 0
+    rows = (tmp_path / "prune_events.tsv").read_text().splitlines()
+    assert rows[1:] == ["40\tblocks.0.wq\tprilora_A\t0.5\t32\t\t"]
+
+
+@pytest.mark.parametrize("line", ['{"step": 0, "loss": 0.7}', "not json"])
+def test_report_refuses_a_malformed_metrics_line(tmp_path, capsys, line):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    good = EvalPoint(0, 0.7, 0.5, 10, 20, []).to_json()
+    (run_dir / "metrics.jsonl").write_text(f"{good}\n\n{line}\n")
+    assert main(["report", str(run_dir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert f"{run_dir / 'metrics.jsonl'}:3: not an eval point" in err[0]
+    assert not (run_dir / "metrics.tsv").exists()
 
 
 def test_report_with_nothing_to_do(capsys):

@@ -1,5 +1,6 @@
 """Training loop behavior: determinism, freezing, pruning cadence, resume."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -13,7 +14,7 @@ from prilora import prune_engine
 from prilora.checkpoint import capture_state
 from prilora.errors import ConfigError, FormatError, ParameterError, ShapeError, TrainingDiverged
 from prilora.model import MATRIX_KINDS, ModelDims, ToyModel
-from prilora.numerics import Rng, Tensor
+from prilora.numerics import Rng, Tensor, fingerprint
 from prilora.prune_engine import STRATEGIES, PruneConfig, norm_widths, tracked_norms
 from prilora.rank_plan import concentrated_plan, linear_plan, uniform_plan
 from prilora.tasks import SyntheticTask, TaskData
@@ -344,7 +345,6 @@ def test_optimizer_state_kind_mismatch_rejected():
     dict(schedule="cosine"),
     dict(warmup_steps=20),
     dict(ema_decay=1.0),
-    dict(trajectory_coords=-1),
     dict(seed=-1),
     dict(lr=float("nan")),
     dict(lr=float("inf")),
@@ -434,52 +434,65 @@ def test_pruning_writes_zeros_into_a(task):
 def test_b_row_ablation_prunes_b(task, strategy):
     """Every strategy runs through train() and zeroes its own factor only."""
     ratio = 0.5
-    cfg = small_cfg(steps=5, eval_interval=5, prune=PruneConfig(ratio, 5, strategy))
+    prune = PruneConfig(ratio, 5, strategy)
+    cfg = small_cfg(steps=5, eval_interval=5, prune=prune)
     model = build_model(cfg, DIMS)
-    seen = []
-
-    def observer(step, model, events):
-        for event in events:
-            pair = model.adapters[event["layer"]]
-            seen.append((event, pair.A.data == 0, pair.B.data == 0))
-
-    train(model, task, cfg, prune_observer=observer)
-    assert [event["layer"] for event, _, _ in seen] == list(model.adapters)
-    for event, a_zero, b_zero in seen:
+    events = train(model, task, cfg).eval_points[-1].prune_events
+    assert [event["layer"] for event in events] == list(model.adapters)
+    for event in events:
         pair = model.adapters[event["layer"]]
         assert (event["step"], event["strategy"], event["ratio"]) == (5, strategy, ratio)
         if strategy in ("prilora_A", "random_A_cols"):
-            per_row = math.floor(ratio * pair.d2)
-            assert event["zeros_written"] == pair.rank * per_row
-            assert (a_zero.sum(axis=1) == per_row).all() and not b_zero.any()
+            assert event["zeros_written"] == pair.rank * math.floor(ratio * pair.d2)
         elif strategy == "B_rows":
-            per_row = math.floor(ratio * pair.rank)
-            assert event["zeros_written"] == pair.d1 * per_row
-            assert (b_zero.sum(axis=1) == per_row).all() and not a_zero.any()
+            assert event["zeros_written"] == pair.d1 * math.floor(ratio * pair.rank)
         else:
-            per_col = math.floor(ratio * pair.d1)
-            assert event["zeros_written"] == pair.rank * per_col
-            assert (b_zero.sum(axis=0) == per_col).all() and not a_zero.any()
+            assert event["zeros_written"] == pair.rank * math.floor(ratio * pair.d1)
+
+    # the masks themselves, on adapters nothing has trained since
+    before, adapters, _ = fresh_event(prune)
+    for name, pair in adapters.items():
+        a_zero, b_zero = pair.A.data == 0, pair.B.data == 0
+        if strategy in ("prilora_A", "random_A_cols"):
+            assert (a_zero.sum(axis=1) == math.floor(ratio * pair.d2)).all()
+            assert np.array_equal(pair.B.data, before[name].B.data)
+        else:
+            assert np.array_equal(pair.A.data, before[name].A.data)
+            if strategy == "B_rows":
+                assert (b_zero.sum(axis=1) == math.floor(ratio * pair.rank)).all()
+            else:
+                assert (b_zero.sum(axis=0) == math.floor(ratio * pair.d1)).all()
 
 
-def test_prune_observer_sees_each_event(task):
-    seen = []
-    cfg = small_cfg(steps=10, prune=PruneConfig(0.5, 5, "prilora_A"))
-    train(build_model(cfg, DIMS), task, cfg,
-          prune_observer=lambda step, model, events: seen.append((step, len(events))))
-    assert seen == [(5, 12), (10, 12)]
+def fresh_event(prune):
+    """One prune event at step 5 on fresh adapters whose B is nonzero noise
+    but for one exact zero; returns copies from before, the adapters, and
+    the event records."""
+    adapters = build_model(small_cfg(prune=prune), DIMS).adapters
+    for i, pair in enumerate(adapters.values()):
+        pair.B.data[...] = Rng(i).normal(pair.B.shape)
+        pair.B.data[0, 0] = 0.0
+    before = {name: copy.deepcopy(pair) for name, pair in adapters.items()}
+    xbars = {name: np.ones(width) for name, width in norm_widths(adapters, prune).items()}
+    events = prune_engine.prune_event(adapters, prune, xbars, Rng(5).child("prune"), 5)
+    return before, adapters, events
 
 
-def test_trajectory_traces_every_step(task):
-    cfg = small_cfg(steps=15, trajectory_coords=3, prune=PruneConfig(0.5, 5, "prilora_A"))
-    record = train(build_model(cfg, DIMS), task, cfg)
-    assert [row["step"] for row in record.trajectory] == list(range(1, 16))
-    flagged = [row["step"] for row in record.trajectory if row["prune_event"]]
-    assert flagged == [5, 10, 15]
-    labels = set(record.trajectory[0]["values"])
-    assert len(labels) == 3
-    for row in record.trajectory:
-        assert set(row["values"]) == labels
+@pytest.mark.parametrize("strategy", ["prilora_A", "random_A_cols", "B_rows", "B_cols"])
+def test_event_records_count_what_the_mask_left(strategy):
+    """nonzero and min_row_zeros describe each adapter right after its mask,
+    exact zeros it held before included."""
+    _, adapters, events = fresh_event(PruneConfig(0.5, 5, strategy))
+    for event in events:
+        pair = adapters[event["layer"]]
+        assert event["nonzero"] == np.count_nonzero(pair.A.data) + np.count_nonzero(pair.B.data)
+        assert event["nonzero"] < pair.A.data.size + pair.B.data.size
+        pruned = pair.B.data if strategy.startswith("B_") else pair.A.data
+        assert event["min_row_zeros"] == (pruned == 0).sum(axis=1).min()
+        if strategy == "B_rows":
+            assert event["min_row_zeros"] == math.floor(0.5 * pair.rank)
+        elif strategy != "B_cols":  # column masks leave row counts uneven
+            assert event["min_row_zeros"] == math.floor(0.5 * pair.d2)
 
 
 def test_ema_seed_flag_changes_the_run(task):
@@ -514,6 +527,47 @@ def test_resume_from_midpoint_is_bitwise(task):
     # resumed record carries only the back half of the eval history
     assert [p.step for p in resumed.eval_points] == [20]
     assert resumed.eval_points[-1].to_json() == full.eval_points[-1].to_json()
+
+
+def test_resumed_event_records_equal_the_uninterrupted_runs(task):
+    # the resumed run logs the events it ran, after the checkpoint
+    cfg = small_cfg(steps=20, eval_interval=5, prune=PruneConfig(0.5, 3, "prilora_A"))
+    full = train(build_model(cfg, DIMS), task, cfg, checkpoint_at=8)
+    resumed = train(build_model(cfg, DIMS), task, cfg, resume_from=full.mid_checkpoint)
+
+    def events(record):
+        return [e for p in record.eval_points for e in p.prune_events]
+
+    assert events(resumed) == [e for e in events(full) if e["step"] > 8]
+    assert sorted({e["step"] for e in events(resumed)}) == [9, 12, 15, 18]
+
+
+def test_checkpoint_at_a_step_the_call_does_not_run_refused(task, tmp_path):
+    cfg = small_cfg(steps=20)
+    mid = train(build_model(cfg, DIMS), task, cfg, checkpoint_at=10).mid_checkpoint
+    metrics = tmp_path / "metrics.jsonl"
+    for at, resume, first in ((0, None, 1), (21, None, 1), (10, mid, 11), (3, mid, 11)):
+        with pytest.raises(ParameterError, match=rf"must lie in \[{first}, 20\], got {at}$"):
+            train(build_model(cfg, DIMS), task, cfg, metrics_path=metrics,
+                  resume_from=resume, checkpoint_at=at)
+        assert not metrics.exists()
+    assert train(build_model(cfg, DIMS), task, cfg, resume_from=mid,
+                 checkpoint_at=11).mid_checkpoint is not None
+
+
+def test_resume_under_another_task_refused(task):
+    cfg = small_cfg()
+    mid = train(build_model(cfg, DIMS), task, cfg, checkpoint_at=10).mid_checkpoint
+    other = SyntheticTask("token_majority", vocab_size=8, seq_len=8,
+                          train_count=200, eval_count=64, seed=6).build()
+    model = build_model(cfg, DIMS)
+    before = {name: t.data.copy() for name, t in model.trainable().items()}
+    with pytest.raises(FormatError, match="saved with task = "):
+        train(model, other, cfg, resume_from=mid)
+    for name, t in model.trainable().items():
+        assert np.array_equal(t.data, before[name]), name
+    # the task the checkpoint was saved under still resumes it
+    assert train(build_model(cfg, DIMS), task, cfg, resume_from=mid).start_step == 10
 
 
 # (config that wrote the checkpoint, config that resumes it)
@@ -554,7 +608,8 @@ def test_step_zero_checkpoint_under_another_strategy_refused(task, strategy):
     optimizer = make_optimizer(saved.optimizer, model.trainable())
     rngs = {"data": Rng(saved.seed).child("data"), "prune": Rng(saved.seed).child("prune")}
     assert norm_widths(model.adapters, saved.prune) == {}
-    blob = capture_state(model, optimizer, {}, saved, 0, rngs)
+    digest = fingerprint([task.train_tokens, task.train_targets, task.eval_tokens, task.eval_targets])
+    blob = capture_state(model, optimizer, {}, saved, 0, rngs, digest)
     cfg = small_cfg()
     with pytest.raises(FormatError, match="train.prune.strategy"):
         train(build_model(cfg, DIMS), task, cfg, resume_from=blob)
@@ -604,12 +659,12 @@ def test_steps_to_peak_prefers_the_earliest_tie():
         EvalPoint(30, 0.4, 0.95, 0, 0, []),
         EvalPoint(40, 0.5, 0.93, 0, 0, []),
     ]
-    record = RunRecord(points, [], 40, 1.0, b"", b"", 20)
+    record = RunRecord(points, 40, 1.0, b"", b"", 20)
     assert steps_to_peak(record) == 20
 
 
 def test_steps_to_peak_requires_history():
-    record = RunRecord([], [], 10, 1.0, b"", b"", 0)
+    record = RunRecord([], 10, 1.0, b"", b"", 0)
     with pytest.raises(ParameterError):
         steps_to_peak(record)
 
@@ -622,7 +677,7 @@ def test_seconds_per_step_counts_only_the_steps_a_resume_ran(task):
     assert full.seconds_per_step == full.train_seconds / 4
     assert resumed.seconds_per_step == resumed.train_seconds / 2
     # a resume at the last step times nothing
-    assert RunRecord([], [], 4, 0.0, b"", b"", 4, start_step=4).seconds_per_step == 0.0
+    assert RunRecord([], 4, 0.0, b"", b"", 4, start_step=4).seconds_per_step == 0.0
 
 
 def test_record_summary_properties(task):
