@@ -3,7 +3,9 @@
 A checkpoint holds everything needed to continue a run bit-for-bit: every
 adapter factor, the classifier head, the EMA vector of each layer
 ``prune_engine.norm_widths`` names (saved as ``ema/<layer>``), optimizer
-slots, random-stream positions, and the step counter. It also records every
+slots, random-stream positions, the step counter, and the records of the
+prune events since the last evaluation point, which that run's next point
+lists. It also records every
 field of the run's ``TrainConfig`` and ``ModelDims`` and a digest of its task
 data; a resume under any other value of one is refused, naming the field.
 
@@ -21,7 +23,7 @@ import io
 import json
 import struct
 from dataclasses import asdict
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .errors import FormatError, ShapeError
 from .numerics import Rng, read_tensor, tensor_to_bytes
 
 MAGIC = b"PRLC"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 DIGEST_BYTES = 32  # the SHA-256 that ends the file
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "capture_state", "restore_state"]
@@ -52,10 +54,12 @@ def capture_state(
     step: int,
     rngs: Mapping[str, Rng],
     task: str,
+    events: Sequence[dict] = (),
 ) -> bytes:
     """The run's state as checkpoint bytes; cfg is the TrainConfig it runs
-    under, xbars its EMA vector for each layer norm_widths names and task the
-    fingerprint of its task data."""
+    under, xbars its EMA vector for each layer norm_widths names, task the
+    fingerprint of its task data and events the prune event records its next
+    evaluation point is to list."""
     params = model.trainable()
     opt_state = optimizer.state_dict()
 
@@ -69,6 +73,7 @@ def capture_state(
         "step": int(step),
         "optimizer": {"kind": opt_state["kind"], "t": opt_state["t"], "slots": list(opt_state["slots"])},
         "rng": {tag: rngs[tag].get_state() for tag in sorted(rngs)},
+        "events": list(events),
         "tensors": [name for name, _ in tensors],
     }
     head_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -123,7 +128,10 @@ def _parse(blob: bytes, model, xbars, cfg, task: str) -> tuple[dict, dict[str, n
         header = json.loads(body[16:head_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"unreadable checkpoint header: {exc}") from None
-    _fields(header, step=int, config=dict, adapters=list, optimizer=dict, rng=dict, tensors=list)
+    _fields(header, step=int, config=dict, adapters=list, optimizer=dict, rng=dict,
+            events=list, tensors=list)
+    if not all(isinstance(event, dict) for event in header["events"]):
+        raise FormatError("checkpoint header: every prune event record must be an object")
     opt = _fields(header["optimizer"], kind=str, t=int, slots=list)
     if not all(isinstance(name, str) for name in opt["slots"] + header["tensors"]):
         raise FormatError("checkpoint header: slot and tensor lists must hold names")
@@ -177,8 +185,9 @@ def restore_state(
     cfg,
     rngs: Mapping[str, Rng],
     task: str,
-) -> int:
-    """Load a checkpoint into live objects; returns the stored step.
+) -> tuple[int, list[dict]]:
+    """Load a checkpoint into live objects; returns the stored step and the
+    prune event records it carries.
 
     The model must already be built with the same plan and adapter layout,
     and xbars must hold its EMA vector for each layer norm_widths names;
@@ -214,4 +223,4 @@ def restore_state(
         xbar[...] = arrays[f"ema/{name}"]
     for tag, state in saved_rng.items():
         rngs[tag].set_state(state)
-    return header["step"]
+    return header["step"], header["events"]

@@ -11,12 +11,15 @@ Blocks are pre-norm: x + Attn(LN(x)), then x + FFN(LN(x)). Attn projects
 LN(x) through wq, wk and wv, runs the multi-head attention core as one tape
 node (``numerics.attention``: head split, scaled q·kᵀ, softmax, ·v, head
 merge) and projects the merged heads through wo. Sequence output is
-mean-pooled, normalized, and mapped to logits by the head.
+mean-pooled, normalized, and mapped to logits by the head. When a run tracks
+input norms, the layer norms that feed wq/wk/wv and w1 hand over their
+output's sum of squares, taken from the squares their variance formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -139,20 +142,31 @@ class ToyModel:
         return cls(dims, plan, embed, pos, blocks, adapters, head_w, head_b)
 
     def _apply(
-        self, i: int, kinds: tuple[str, ...], x: Tensor, norms: str | None, stats: dict
+        self,
+        i: int,
+        kinds: tuple[str, ...],
+        x: Tensor,
+        norms: str | None,
+        sumsq: Mapping[str, np.ndarray] | None,
+        normalize: bool = False,
     ) -> list[Tensor]:
         """Block i's matrices of the given kinds, each applied to x, the input
-        they share; each adapted one's norms of the given source go to stats."""
+        they share, layer-normed first when normalize says so; each adapted
+        one's sum of squares of the given source goes to its sumsq vector."""
         names = [f"blocks.{i}.{kind}" for kind in kinds]
         adapted = [name for name in names if name in self.adapters]
-        if norms == "input" and adapted:
-            # wq/wk/wv read the same activation; compute its norm once
-            stats.update(dict.fromkeys(adapted, prune_engine.batch_input_norm(x.data)))
-        elif norms == "latent":
+        sums = [sumsq[name] for name in adapted] if norms == "input" else []
+        if normalize:
+            x = numerics.layernorm(x, sumsq=sums[0] if sums else None)
+        elif sums:
+            prune_engine.batch_sum_squares(x.data, out=sums[0])
+        for out in sums[1:]:
+            out[...] = sums[0]  # wq, wk and wv read one activation: one sum, shared
+        if norms == "latent":
+            x2 = x.data.reshape(-1, x.shape[-1])
             for name in adapted:
                 # the latent entering B; recomputed outside the gradient tape
-                latent = x.data @ self.adapters[name].A.data.T
-                stats[name] = prune_engine.batch_input_norm(latent)
+                prune_engine.batch_sum_squares(x2 @ self.adapters[name].A.data.T, out=sumsq[name])
         block = self.blocks[i]
         return [
             adapter_forward(block[kind], self.adapters.get(name), x)
@@ -160,10 +174,16 @@ class ToyModel:
         ]
 
     def forward(
-        self, tokens: np.ndarray, norms: str | None = None
-    ) -> tuple[Tensor, dict[str, np.ndarray]]:
-        """Logits for a token batch, plus each adapted matrix's norm vector from
-        the source norms names, as prune_engine.tracked_norms does (None: none)."""
+        self,
+        tokens: np.ndarray,
+        norms: str | None = None,
+        sumsq: Mapping[str, np.ndarray] | None = None,
+    ) -> tuple[Tensor, Mapping[str, np.ndarray]]:
+        """Logits for a token batch, plus, for the source norms names as
+        prune_engine.tracked_norms does (None: none), each adapted matrix's
+        per-feature sum of squares of that source over batch and position, the
+        square of its batch_input_norm. The sums overwrite sumsq's vectors when
+        it is given, and fill new ones otherwise."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
@@ -174,24 +194,26 @@ class ToyModel:
             raise ShapeError(f"sequence length {n} exceeds model maximum {self.dims.seq_len}")
         if tokens.min() < 0 or tokens.max() >= self.dims.vocab_size:
             raise ParameterError(f"token ids must lie in [0, {self.dims.vocab_size})")
+        if norms is None:
+            sumsq = {}
+        elif sumsq is None:
+            sumsq = {name: np.empty(pair.d2 if norms == "input" else pair.rank)
+                     for name, pair in self.adapters.items()}
 
-        stats: dict[str, np.ndarray] = {}
         x = Tensor(self.embed[tokens] + self.pos[:n])
         for i in range(len(self.blocks)):
-            h = numerics.layernorm(x)
-            q, k, v = self._apply(i, ("wq", "wk", "wv"), h, norms, stats)
+            q, k, v = self._apply(i, ("wq", "wk", "wv"), x, norms, sumsq, normalize=True)
             ctx = numerics.attention(q, k, v, self.dims.num_heads)
-            (proj,) = self._apply(i, ("wo",), ctx, norms, stats)
+            (proj,) = self._apply(i, ("wo",), ctx, norms, sumsq)
             x = x + proj
 
-            h2 = numerics.layernorm(x)
-            (up,) = self._apply(i, ("w1",), h2, norms, stats)
-            (proj,) = self._apply(i, ("w2",), numerics.relu(up), norms, stats)
+            (up,) = self._apply(i, ("w1",), x, norms, sumsq, normalize=True)
+            (proj,) = self._apply(i, ("w2",), numerics.relu(up), norms, sumsq)
             x = x + proj
 
         pooled = numerics.layernorm(x.mean(axis=1))
         logits = numerics.matmul(pooled, self.head_w.transpose()) + self.head_b
-        return logits, stats
+        return logits, sumsq
 
     def trainable(self) -> dict[str, Tensor]:
         """Every tensor the optimizer may touch, in a stable order."""

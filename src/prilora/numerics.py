@@ -12,6 +12,12 @@ Raw array storage and the matrix product itself are delegated to numpy; the
 tape, the gradient rules, the random stream discipline, and the wire format
 are owned here. The wire format has one parser, ``read_tensor``, which reads
 from a stream; ``tensor_from_bytes`` runs it over an in-memory buffer.
+
+At the training stack's small shapes numpy's cost per call and per short
+reduction dominates, not FLOPs: adapted_linear folds its leading axes into
+one 2-D GEMM in each direction, and layer norm and softmax sum their short
+rows as GEMVs (softmax takes its row max from a transposed copy, which is
+exact).
 """
 
 from __future__ import annotations
@@ -267,27 +273,32 @@ def matmul(a, b) -> Tensor:
 def adapted_linear(x, W0: Tensor, A: Tensor, B: Tensor, scale: float) -> Tensor:
     """x @ W0^T + scale * (x @ A^T) @ B^T as one tape node; W0 gets no gradient.
 
-    The numpy products and their order are the matmul/mul/add composition's,
-    so the two agree bit for bit."""
+    The leading axes of x fold into one, so every product in either
+    direction is a single 2-D GEMM; the numpy products and their order are
+    those of the matmul/mul/add composition over x reshaped to 2-D, so the
+    two agree bit for bit."""
     x = _as_tensor(x)
     if x.ndim < 2:
         raise ShapeError(f"adapted_linear needs 2-D or higher input, got {x.shape}")
-    latent = x.data @ A.data.T
-    data = x.data @ W0.data.T
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    latent = x2 @ A.data.T
+    data = x2 @ W0.data.T
     delta = latent @ B.data.T
     delta *= scale
     data += delta
 
     def backward(g: np.ndarray) -> None:
+        g = g.reshape(data.shape)
         g_lat = g * scale
-        _accum(B, _unbroadcast(np.swapaxes(latent, -1, -2) @ g_lat, B.data.T.shape).T)
+        _accum(B, (latent.T @ g_lat).T)
         g_lat = g_lat @ B.data
         if x.requires_grad:  # frozen path first, as the composition's reverse walk summed x
-            _accum(x, g @ W0.data)
-            _accum(x, g_lat @ A.data)
-        _accum(A, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g_lat, A.data.T.shape).T)
+            gx = g @ W0.data
+            gx += g_lat @ A.data
+            _accum(x, gx.reshape(x.data.shape))
+        _accum(A, (x2.T @ g_lat).T)
 
-    return _make(data, (x, A, B), backward)
+    return _make(data.reshape(*x.data.shape[:-1], data.shape[-1]), (x, A, B), backward)
 
 
 def relu(a) -> Tensor:
@@ -295,7 +306,8 @@ def relu(a) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, g * (a.data > 0.0))
+        # a float64 mask: same products as a boolean one, without the mixed-type loop
+        _accum(a, g * (a.data > 0.0).astype(np.float64))
 
     return _make(data, (a,), backward)
 
@@ -345,27 +357,46 @@ def _reduce(a: Tensor, axis, keepdims: bool, mean: bool) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def _softmax_forward(a: np.ndarray, axis: int) -> np.ndarray:
-    p = a - a.max(axis=axis, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=axis, keepdims=True)
-    return p
+# Row reductions of a 2-D array. numpy reduces a short last axis several
+# times slower per element than a long one, so a sum runs as a GEMV and a max
+# over a transposed copy; max is exact, so _row_max has the bits of .max(-1).
 
 
-def _softmax_backward(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+def _row_sums(a2: np.ndarray) -> np.ndarray:
+    return a2 @ np.ones(a2.shape[-1])
+
+
+def _row_max(a2: np.ndarray) -> np.ndarray:
+    return a2.T.copy().max(axis=0)
+
+
+def _softmax_forward(a: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, with the row reductions above."""
+    n = a.shape[-1]
+    p2 = a.reshape(-1, n)
+    p2 = p2 - _row_max(p2)[:, None]
+    np.exp(p2, out=p2)
+    p2 /= _row_sums(p2)[:, None]
+    return p2.reshape(a.shape)
+
+
+def _softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The gradient at softmax's input, given g at its output p."""
-    inner = (g * p).sum(axis=axis, keepdims=True)
+    n = p.shape[-1]
+    gp = g * p
+    inner = _row_sums(gp.reshape(-1, n)).reshape(*p.shape[:-1], 1)
     out = g - inner
     out *= p
     return out
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a) -> Tensor:
+    """Softmax over the last axis."""
     a = _as_tensor(a)
-    data = _softmax_forward(a.data, axis)
+    data = _softmax_forward(a.data)
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, _softmax_backward(g, data, axis))
+        _accum(a, _softmax_backward(g, data))
 
     return _make(data, (a,), backward)
 
@@ -387,7 +418,7 @@ def attention(q, k, v, heads: int) -> Tensor:
     qh, kh, vh = (np.swapaxes(t.data.reshape(split), 1, 2) for t in (q, k, v))
     p = qh @ np.swapaxes(kh, -1, -2)
     p *= scale
-    p = _softmax_forward(p, -1)
+    p = _softmax_forward(p)
     data = np.swapaxes(p @ vh, 1, 2).reshape(b, n, d)
 
     def merge(gh: np.ndarray) -> np.ndarray:
@@ -397,7 +428,7 @@ def attention(q, k, v, heads: int) -> Tensor:
         # C order, as _accum's first copy left the composition's swapped grad
         gc = np.array(np.swapaxes(g.reshape(split), 1, 2), order="C")
         if q.requires_grad or k.requires_grad:
-            gs = _softmax_backward(gc @ np.swapaxes(vh, -1, -2), p, -1)
+            gs = _softmax_backward(gc @ np.swapaxes(vh, -1, -2), p)
             gs *= scale
             if q.requires_grad:
                 _accum(q, merge(gs @ kh))
@@ -409,22 +440,33 @@ def attention(q, k, v, heads: int) -> Tensor:
     return _make(data, (q, k, v), backward)
 
 
-def layernorm(a, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance. No affine part."""
+def layernorm(a, eps: float = 1e-5, sumsq: np.ndarray | None = None) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance. No affine part.
+
+    Row sums run as GEMVs over the input folded to 2-D. Given sumsq, a
+    vector as wide as the last axis, it also writes there the output's sum
+    of squares over every other axis, istd²ᵀ·(c∘c) from the centred input c
+    the variance already squared; the squares are not kept for backward."""
     a = _as_tensor(a)
     n = a.data.shape[-1]
-    # the sum, divide, subtract and square that ndarray.mean and .var run,
-    # with the input centred once
-    xhat = a.data - a.data.sum(axis=-1, keepdims=True) / n
-    istd = 1.0 / np.sqrt(np.multiply(xhat, xhat).sum(axis=-1, keepdims=True) / n + eps)
-    xhat *= istd
+    a2 = a.data.reshape(-1, n)
+    xhat = a2 - (_row_sums(a2) / n)[:, None]
+    sq = xhat * xhat
+    istd = 1.0 / np.sqrt(_row_sums(sq) / n + eps)
+    if sumsq is not None:
+        np.matmul(istd * istd, sq, out=sumsq)
+    xhat *= istd[:, None]
 
     def backward(g: np.ndarray) -> None:
-        gm = g.sum(axis=-1, keepdims=True) / n
-        gx = (g * xhat).sum(axis=-1, keepdims=True) / n
-        _accum(a, istd * (g - gm - xhat * gx))
+        g2 = g.reshape(-1, n)
+        gm = _row_sums(g2) / n
+        gx = _row_sums(g2 * xhat) / n
+        out = g2 - gm[:, None]
+        out -= xhat * gx[:, None]
+        out *= istd[:, None]
+        _accum(a, out.reshape(a.data.shape))
 
-    return _make(xhat, (a,), backward)
+    return _make(xhat.reshape(a.data.shape), (a,), backward)
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:

@@ -32,6 +32,7 @@ __all__ = [
     "PruneMask",
     "PruneConfig",
     "STRATEGIES",
+    "batch_sum_squares",
     "batch_input_norm",
     "ema_update",
     "importance",
@@ -109,17 +110,21 @@ class PruneConfig:
             )
 
 
+def batch_sum_squares(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-feature sum of squares over every axis but the last, written to
+    out when given; the column sums run as one GEMV. Its square root is
+    batch_input_norm, without the checks."""
+    arr = arr.reshape(-1, arr.shape[-1])
+    return np.matmul(np.ones(arr.shape[0]), arr * arr, out=out)
+
+
 def batch_input_norm(X) -> np.ndarray:
     """Per-feature L2 norm of a batch: sqrt of summed squares over batch and
     position axes. 2-D input is treated as a single-sequence batch."""
     arr = X.data if isinstance(X, Tensor) else np.asarray(X, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[None, :, :]
-    if arr.ndim != 3:
+    if arr.ndim not in (2, 3):
         raise ShapeError(f"expected (batch, position, feature) input, got shape {arr.shape}")
-    # single fused pass; runs once per adapted matrix per step, so it must
-    # not rescan or copy the full activation tensor
-    out = np.sqrt(np.einsum("bnd,bnd->d", arr, arr))
+    out = np.sqrt(batch_sum_squares(arr))
     if not np.isfinite(out).all():
         # any nan or inf in the input survives the sum of squares
         raise NumericError("batch input contains non-finite values")
@@ -127,13 +132,17 @@ def batch_input_norm(X) -> np.ndarray:
 
 
 def ema_update(xbar: np.ndarray, x: np.ndarray, decay: float) -> np.ndarray:
-    """One decay step: xbar' = decay * xbar + (1 - decay) * x."""
+    """One decay step in place, xbar <- decay * xbar + (1 - decay) * x, with
+    the products and sum of that expression; returns xbar."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != xbar.shape:
         raise ShapeError(f"observation length {x.shape} does not match EMA state {xbar.shape}")
     if (x < 0).any():
         raise ParameterError("EMA observations must be nonnegative")
-    return decay * xbar + (1.0 - decay) * x
+    step = (1.0 - decay) * x  # before xbar is written, as x may be xbar
+    xbar *= decay
+    xbar += step
+    return xbar
 
 
 def importance(A, xbar: np.ndarray) -> np.ndarray:

@@ -67,6 +67,12 @@ class SyntheticTask:
             raise ConfigError(f"sequence length must be >= 4, got {self.seq_len}")
         if self.train_count < 1 or self.eval_count < 1:
             raise ConfigError("train and eval counts must be positive")
+        if self.train_count + self.eval_count > self.vocab_size**self.seq_len:
+            raise ConfigError(
+                f"{self.train_count} + {self.eval_count} distinct sequences do not fit in "
+                f"{self.vocab_size}**{self.seq_len} sequences of vocab size {self.vocab_size} "
+                f"and length {self.seq_len}"
+            )
 
     def build(self) -> TaskData:
         """Generate both splits deterministically from the seed."""

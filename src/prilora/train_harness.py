@@ -4,14 +4,18 @@ Each step runs in a fixed order: forward pass (collecting the per-matrix
 norms that prune_engine.tracked_norms names for the strategy), EMA update,
 backward pass over adapters and head only, optimizer step, and then, on
 interval boundaries, the prune event itself. The EMA is one ``{layer name:
-vector}`` dict of views into one zeroed buffer sized by ``norm_widths``,
-which one update per step moves with ``TrainConfig.ema_decay``. Evaluation
+vector}`` dict of views into one zeroed buffer sized by ``norm_widths``; a
+second buffer of the same layout holds the step's observation. The forward
+pass writes each matrix's per-feature sum of squares into its view of that
+buffer, then one sqrt, one finiteness check and one in-place
+``ema_update`` with ``TrainConfig.ema_decay`` move the EMA. Evaluation
 happens on a separate cadence and never touches the EMA statistics or the
 random streams.
 
 Runs are deterministic functions of the config: batch order, adapter init,
 and prune randomness all come from child streams of the config seed, and a
-checkpoint saved under the same config restores every one of them mid-run.
+checkpoint saved under the same config restores every one of them mid-run,
+along with the prune event records the next eval point is to list.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from . import checkpoint as checkpoint_mod
 from . import numerics
 from .adapter import nonzero_param_count, trainable_param_count
-from .errors import ConfigError, NumericError, ParameterError, ShapeError, TrainingDiverged
+from .errors import ConfigError, ParameterError, ShapeError, TrainingDiverged
 from .model import MATRIX_KINDS, ModelDims, ToyModel, layer_shapes
 from .numerics import Rng, Tensor
 from .prune_engine import (
@@ -339,8 +343,11 @@ def train(
     optimizer = make_optimizer(cfg.optimizer, params)
     norms = tracked_norms(cfg.prune)
     widths = norm_widths(model.adapters, cfg.prune)
-    ema = np.zeros(sum(widths.values()))  # every layer's x̄, in adapter order
+    # every layer's x̄, in adapter order, and this step's observation of it:
+    # forward writes each sum of squares into obs, one sqrt makes it the norms
+    ema, obs = np.zeros(sum(widths.values())), np.zeros(sum(widths.values()))
     xbars = _views(ema, {name: (width,) for name, width in widths.items()})
+    sumsq = _views(obs, {name: (width,) for name, width in widths.items()})
     rngs = {"data": Rng(cfg.seed).child("data"), "prune": Rng(cfg.seed).child("prune")}
     adapter_params = trainable_param_count(model.plan, layer_shapes(model.dims, cfg.adapt_kinds))
     task_digest = numerics.fingerprint(
@@ -348,8 +355,9 @@ def train(
     )
 
     start_step = 0
+    pending_events: list[dict] = []  # prune event records the next eval point lists
     if resume_from is not None:
-        start_step = checkpoint_mod.restore_state(
+        start_step, pending_events = checkpoint_mod.restore_state(
             resume_from, model, optimizer, xbars, cfg, rngs, task_digest
         )
     if checkpoint_at is not None and not start_step < checkpoint_at <= cfg.steps:
@@ -368,10 +376,12 @@ def train(
     metrics_fp: IO[str] | None = open(metrics_path, "w") if metrics_path else None
 
     def snapshot(step: int) -> bytes:
-        return checkpoint_mod.capture_state(model, optimizer, xbars, cfg, step, rngs, task_digest)
+        return checkpoint_mod.capture_state(
+            model, optimizer, xbars, cfg, step, rngs, task_digest, pending_events
+        )
 
-    def do_eval(step: int, events: list[dict]) -> None:
-        nonlocal best_blob, best_acc, best_step, last_good
+    def do_eval(step: int) -> None:
+        nonlocal best_blob, best_acc, best_step, last_good, pending_events
         metrics = evaluate(model, task)
         point = EvalPoint(
             step=step,
@@ -379,8 +389,9 @@ def train(
             accuracy=metrics["accuracy"],
             nonzero_params=nonzero_param_count(model.adapters.values()),
             adapter_params=adapter_params,
-            prune_events=events,
+            prune_events=pending_events,
         )
+        pending_events = []
         eval_points.append(point)
         if metrics_fp is not None:
             metrics_fp.write(point.to_json() + "\n")
@@ -392,44 +403,43 @@ def train(
 
     try:
         if start_step == 0:
-            do_eval(0, [])
-        pending_events: list[dict] = []
+            do_eval(0)
         for step in range(start_step + 1, cfg.steps + 1):
             t0 = time.perf_counter()
             idx = rngs["data"].integers(0, task.train_count, size=cfg.batch_size)
             tokens = task.train_tokens[idx]
             targets = task.train_targets[idx]
-            try:
-                logits, stats = model.forward(tokens, norms)
-            except NumericError:
-                # exploded activations surface in the norm statistics
-                # before the loss itself goes non-finite
-                raise TrainingDiverged(step, last_good) from None
+            logits, _ = model.forward(tokens, norms, sumsq)
+            if xbars:
+                np.sqrt(obs, out=obs)
+                if not np.isfinite(obs).all():
+                    # exploded activations surface in the norm statistics
+                    # before the loss itself goes non-finite
+                    raise TrainingDiverged(step, last_good)
             loss = _loss(logits, targets, task.is_regression)
             loss_val = loss.item()
             if not math.isfinite(loss_val):
                 raise TrainingDiverged(step, last_good)
             if xbars:
                 # the first observation starts the EMA, or steps it from zeros
-                x = np.concatenate([stats[name] for name in xbars])
-                first = step == 1 and cfg.ema_init_first_batch
-                ema[...] = x if first else ema_update(ema, x, cfg.ema_decay)
+                if step == 1 and cfg.ema_init_first_batch:
+                    ema[...] = obs
+                else:
+                    ema_update(ema, obs, cfg.ema_decay)
             for p in params.values():
                 p.grad = None
             loss.backward()
             optimizer.step(lr_at(step, cfg))
 
-            events: list[dict] = []
             if should_prune(step, cfg.prune):
-                events = prune_event(model.adapters, cfg.prune, xbars, rngs["prune"], step)
+                pending_events += prune_event(model.adapters, cfg.prune, xbars, rngs["prune"], step)
             train_seconds += time.perf_counter() - t0
-            if checkpoint_at == step:
-                mid_blob = snapshot(step)
 
-            pending_events.extend(events)
             if step % cfg.eval_interval == 0 or step == cfg.steps:
-                do_eval(step, pending_events)
-                pending_events = []
+                do_eval(step)
+            if checkpoint_at == step:
+                # after this step's events and any eval point that lists them
+                mid_blob = snapshot(step)
     finally:
         if metrics_fp is not None:
             metrics_fp.close()

@@ -252,6 +252,7 @@ def test_golden_final_loss_is_bitwise(reference_run):
     assert reference_run.record.final_loss == GOLDEN["expected"]["final_loss"]
 
 
+@pytest.mark.timing
 def test_criterion_11_pruning_overhead_parity(reference_run):
     """Pruning every 40 steps stays within 5% of the no-pruning wall clock."""
     task = reference_run.task

@@ -26,6 +26,9 @@ CFG = TrainConfig(plan=linear_plan(2, 2, 4), steps=20)  # prilora_A: input norms
 LATENT_CFG = dataclasses.replace(CFG, prune=PruneConfig(strategy="B_rows"))
 CFGS = {"input": CFG, "latent": LATENT_CFG}
 TASK = "7a5c" * 16  # stands in for the task-data fingerprint train() records
+# a prune event record, as prune_event makes them, not yet listed by an eval point
+EVENTS = [{"layer": "blocks.0.wq", "min_row_zeros": 8, "nonzero": 40, "ratio": 0.5,
+           "step": 3, "strategy": "prilora_A", "zeros_written": 16}]
 
 
 def fresh(cfg=CFG, seed=3):
@@ -62,27 +65,27 @@ def populated_state(seed=3, cfg=CFG):
 
 def make_blob(step=0, cfg=CFG):
     model, optimizer, xbars, rngs = populated_state(cfg=cfg)
-    return capture_state(model, optimizer, xbars, cfg, step, rngs, TASK)
+    return capture_state(model, optimizer, xbars, cfg, step, rngs, TASK, EVENTS)
 
 
 def test_blob_leads_with_magic_and_version():
     blob = make_blob()
     assert blob[:4] == MAGIC
-    assert struct.unpack_from("<I", blob, 4)[0] == FORMAT_VERSION == 3
+    assert struct.unpack_from("<I", blob, 4)[0] == FORMAT_VERSION == 4
     assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
 
 
 def test_save_load_save_is_bitwise():
     for cfg in CFGS.values():
         model, optimizer, xbars, rngs = populated_state(cfg=cfg)
-        blob = capture_state(model, optimizer, xbars, cfg, 17, rngs, TASK)
+        blob = capture_state(model, optimizer, xbars, cfg, 17, rngs, TASK, EVENTS)
 
         model2, optimizer2 = fresh(cfg)
         xbars2 = zero_xbars(model2, cfg)
         rngs2 = {"data": Rng(7).child("data"), "prune": Rng(7).child("prune")}
-        step = restore_state(blob, model2, optimizer2, xbars2, cfg, rngs2, TASK)
-        assert step == 17
-        assert capture_state(model2, optimizer2, xbars2, cfg, 17, rngs2, TASK) == blob
+        step, events = restore_state(blob, model2, optimizer2, xbars2, cfg, rngs2, TASK)
+        assert (step, events) == (17, EVENTS)
+        assert capture_state(model2, optimizer2, xbars2, cfg, 17, rngs2, TASK, events) == blob
 
 
 def test_header_layout_matches_the_committed_golden():
@@ -145,8 +148,9 @@ def test_bad_magic_rejected():
 
 
 def test_unknown_version_rejected():
-    # format 2 files carry no task digest, so they are refused like format 1
-    for version in (1, 2):
+    # format 2 files carry no task digest and format 3 files no pending prune
+    # event records, so they are refused like format 1
+    for version in (1, 2, 3):
         blob = bytearray(make_blob())
         struct.pack_into("<I", blob, 4, version)
         with pytest.raises(FormatError, match=f"unsupported checkpoint format version {version}"):
@@ -266,7 +270,7 @@ BLOB = make_blob(step=5)
 HEADER, TENSORS = split_blob(BLOB)
 LATENT_BLOB = make_blob(step=5, cfg=LATENT_CFG)
 WQ_XBAR = TENSORS["ema/blocks.0.wq"]  # width d2 = 16; the rank is 2
-READ_FIELDS = ("step", "config", "adapters", "optimizer", "rng", "tensors")
+READ_FIELDS = ("step", "config", "adapters", "optimizer", "rng", "events", "tensors")
 
 
 def with_tensors(tensors, blob=BLOB):
@@ -335,6 +339,8 @@ MALFORMED = {
         rng=dict(HEADER["rng"], data=dict(HEADER["rng"]["data"], buffer_pos=-1))
     ),
     "rng_empty": lambda: edited(rng={}),
+    "events_not_a_list": lambda: edited(events={"step": 3}),
+    "event_not_an_object": lambda: edited(events=[3]),
     "rng_missing_prune": lambda: edited(rng={"data": HEADER["rng"]["data"]}),
 }
 # the cases built on LATENT_BLOB restore under its config

@@ -8,6 +8,7 @@ on a small model so the whole module finishes in a few seconds.
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import prilora
+from prilora import cli
 from prilora.cli import ABLATION_VARIANTS, ablation_config, main
 from prilora.config import parse_config_text
 from prilora.errors import ConfigError
@@ -94,6 +96,13 @@ UNBUILDABLE = {
         TINY.replace("plan.last_rank = 4", "plan.last_rank = 20"), "exceeds min(16, 16)"),
     "unknown_adapter_kind": (TINY + "adapter.kinds = wq,wz\n", "unknown matrix kind 'wz'"),
     "negative_adapter_std": (TINY + "adapter.std = -1\n", "adapter std must be positive"),
+    # 4**4 = 256 distinct sequences cannot hold 300 + 10
+    "task_space_too_small": (
+        TINY.replace("task.vocab_size = 8", "task.vocab_size = 4")
+        .replace("task.seq_len = 8", "task.seq_len = 4")
+        .replace("task.train_count = 160", "task.train_count = 300")
+        .replace("task.eval_count = 48", "task.eval_count = 10"),
+        "300 + 10 distinct sequences do not fit in 4**4"),
 }
 GRID_COMMANDS = {
     "validate-config": ["validate-config"],
@@ -495,3 +504,46 @@ def test_console_script_is_installed(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "ok: valid" in proc.stdout
+
+
+# -- the kept heap ---------------------------------------------------------------
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_keep_heap_sets_both_thresholds_on_glibc():
+    # True only when mallopt returned 1 for the trim and the mmap threshold
+    assert cli._keep_heap() is True
+
+
+def test_keep_heap_calls_nothing_on_another_libc(monkeypatch):
+    loads = []
+    monkeypatch.setattr(cli.platform, "libc_ver", lambda *a, **k: ("musl", "1.2.4"))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda *a, **k: loads.append(a))
+    assert cli._keep_heap() is False
+    assert loads == []
+
+
+def test_run_artifacts_are_the_same_bytes_with_and_without_the_kept_heap(tmp_path):
+    # each run in a fresh interpreter, as the setting lasts for the process
+    cfg = write_cfg(tmp_path / "t.cfg")
+    env = dict(os.environ, PYTHONPATH=str(Path(prilora.__file__).resolve().parents[1]))
+    launch = ("import sys; from prilora import cli; {}; "
+              "sys.exit(cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]))")
+    runs = {}
+    for kept, patch in ((True, "pass"), (False, "cli._keep_heap = lambda: False")):
+        out = tmp_path / f"kept_{kept}"
+        proc = subprocess.run([sys.executable, "-c", launch.format(patch), str(cfg), str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs[kept] = out / "tiny"
+    files = sorted(p.relative_to(runs[True]) for p in runs[True].rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(runs[False]) for p in runs[False].rglob("*") if p.is_file())
+    for rel in files:
+        kept, plain = (runs[flag] / rel for flag in (True, False))
+        if rel.name == "run.json":  # all but the wall clock
+            clock = ("train_seconds", "seconds_per_step")
+            kept, plain = ({k: v for k, v in json.loads(f.read_text()).items() if k not in clock}
+                           for f in (kept, plain))
+            assert kept == plain, rel
+        else:
+            assert kept.read_bytes() == plain.read_bytes(), rel

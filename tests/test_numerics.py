@@ -184,10 +184,13 @@ def test_no_gradient_is_routed_to_a_frozen_parent(monkeypatch):
 
 
 def composed_adapter(x, W0, A, B, scale):
-    """The adapted map as separate tape ops: matmul, transpose, mul, add."""
-    h = numerics.matmul(x, W0.transpose())
-    latent = numerics.matmul(x, A.transpose())
-    return h + scale * numerics.matmul(latent, B.transpose())
+    """The adapted map as separate tape ops over x folded to 2-D: reshape,
+    matmul, transpose, mul, add, and a reshape back to x's leading axes."""
+    x2 = x.reshape(-1, x.shape[-1])
+    h = numerics.matmul(x2, W0.transpose())
+    latent = numerics.matmul(x2, A.transpose())
+    out = h + scale * numerics.matmul(latent, B.transpose())
+    return out.reshape(*x.shape[:-1], out.shape[-1])
 
 
 def composed_attention(q, k, v, heads):
@@ -196,7 +199,7 @@ def composed_attention(q, k, v, heads):
     b, n, d = q.shape
     dh = d // heads
     q, k, v = (t.reshape(b, n, heads, dh).swapaxes(1, 2) for t in (q, k, v))
-    attn = numerics.softmax(numerics.matmul(q, k.swapaxes(-1, -2)) * (dh**-0.5), axis=-1)
+    attn = numerics.softmax(numerics.matmul(q, k.swapaxes(-1, -2)) * (dh**-0.5))
     return numerics.matmul(attn, v).swapaxes(1, 2).reshape(b, n, d)
 
 
@@ -306,16 +309,38 @@ def test_attention_shape_errors():
             numerics.attention(t, t, t, heads)
 
 
-def test_layernorm_matches_numpy_mean_and_var_bitwise():
+def test_layernorm_matches_the_gemv_row_sum_formula_bitwise():
     for shape in ((16, 32), (4, 16, 32)):
         a, w = Tensor(rand(shape, 97), requires_grad=True), rand(shape, 98)
-        istd = 1.0 / np.sqrt(a.data.var(axis=-1, keepdims=True) + 1e-5)
-        xhat = (a.data - a.data.mean(axis=-1, keepdims=True)) * istd
-        out = numerics.layernorm(a)
+        n, ones = shape[-1], np.ones(shape[-1])
+        a2, w2 = a.data.reshape(-1, n), w.reshape(-1, n)
+        c = a2 - (a2 @ ones / n)[:, None]
+        istd = 1.0 / np.sqrt((c * c) @ ones / n + 1e-5)
+        xhat = c * istd[:, None]
+        sumsq = np.empty(n)
+        out = numerics.layernorm(a, sumsq=sumsq)
         (out * Tensor(w)).sum().backward()
-        gm, gx = w.mean(axis=-1, keepdims=True), (w * xhat).mean(axis=-1, keepdims=True)
-        assert out.data.tobytes() == xhat.tobytes()
-        assert a.grad.tobytes() == (istd * (w - gm - xhat * gx)).tobytes()
+        gm, gx = (w2 @ ones / n)[:, None], ((w2 * xhat) @ ones / n)[:, None]
+        assert out.data.tobytes() == xhat.reshape(shape).tobytes()
+        assert a.grad.tobytes() == (istd[:, None] * (w2 - gm - xhat * gx)).reshape(shape).tobytes()
+        # the output's sum of squares over rows, from the variance's squares
+        assert sumsq.tobytes() == ((istd * istd) @ (c * c)).tobytes()
+        np.testing.assert_allclose(sumsq, (xhat * xhat).sum(axis=0), rtol=1e-12, atol=0)
+    x = Tensor(rand((2, 3, 5), 99), requires_grad=True)
+    w = Tensor(rand((2, 3, 5), 100))
+    # criterion 8's tolerance
+    assert grad_check(lambda: (numerics.layernorm(x) * w).sum(), [x], eps=1e-4) < 1e-5
+
+
+def test_softmax_row_max_equals_numpy_max_bitwise():
+    a = rand((16, 2, 16, 16), 101).reshape(-1, 16)
+    a[3, 5] = a[3, 6] = a[3].max() + 1.0  # a tie
+    a[7, :] = -np.inf
+    a[8, 2] = np.inf
+    assert numerics._row_max(a).tobytes() == a.max(-1).tobytes()
+    p = numerics.softmax(Tensor(a[:3])).data
+    e = np.exp(a[:3] - a[:3].max(-1, keepdims=True))
+    assert p.tobytes() == (e / (e @ np.ones(16))[:, None]).tobytes()
 
 
 def test_backward_requires_scalar():

@@ -63,7 +63,9 @@ def test_ema_update_arithmetic():
 
 def test_ema_fixed_point():
     xbar = np.array([3.0, 0.5, 7.0])
-    assert np.abs(ema_update(xbar, xbar, 0.9) - xbar).max() < 1e-15
+    assert np.abs(ema_update(xbar.copy(), xbar, 0.9) - xbar).max() < 1e-15
+    # the observation may be the state itself
+    assert np.abs(ema_update(xbar, xbar, 0.9) - np.array([3.0, 0.5, 7.0])).max() < 1e-15
 
 
 def test_ema_matches_closed_form_recurrence():

@@ -136,6 +136,13 @@ def test_unknown_kind_rejected():
         SyntheticTask("sorting")
 
 
+def test_counts_beyond_the_sequence_space_are_a_config_error():
+    # 4**4 = 256 sequences exist; refused before any data is built
+    with pytest.raises(ConfigError, match=r"300 \+ 10 distinct sequences do not fit in 4\*\*4"):
+        SyntheticTask("token_majority", vocab_size=4, seq_len=4, train_count=300, eval_count=10)
+    SyntheticTask("token_majority", vocab_size=4, seq_len=4, train_count=246, eval_count=10)
+
+
 def test_exhausting_a_tiny_task_space_raises():
     # seq_len 4 and vocab 4 admit only a few dozen distinct majority rows
     with pytest.raises(ParameterError):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from prilora import model as model_mod
 from prilora import prune_engine
 from prilora.checkpoint import capture_state
 from prilora.errors import ConfigError, FormatError, ParameterError, ShapeError, TrainingDiverged
@@ -192,23 +193,36 @@ def test_forward_collects_the_norms_the_strategy_tracks(task, strategy, monkeypa
     assert tracked_norms(dataclasses.replace(prune, prune_ratio=0.0)) is None
     # block 0 has rank 0, so only block 1 is adapted
     model = build_model(small_cfg(plan=concentrated_plan(2, 12), prune=prune), DIMS)
-    calls = []
-    real = prune_engine.batch_input_norm
-    monkeypatch.setattr(prune_engine, "batch_input_norm", lambda x: calls.append(x) or real(x))
-    _, stats = model.forward(task.train_tokens[:8], norms)
+    inputs = {}  # each adapted matrix's input activation
+    real = model_mod.adapter_forward
+
+    def recording(layer, pair, x):
+        if pair is not None:
+            inputs[pair.frozen_ref] = x.data
+        return real(layer, pair, x)
+
+    monkeypatch.setattr(model_mod, "adapter_forward", recording)
+    _, sums = model.forward(task.train_tokens[:8], norms)
     if norms is None:
-        assert stats == {} and calls == []
+        assert sums == {}
         return
-    assert set(stats) == set(model.adapters)
-    for name, vec in stats.items():
+    assert set(sums) == set(model.adapters)
+    for name, vec in sums.items():
         pair = model.adapters[name]
+        source = inputs[name] if norms == "input" else inputs[name] @ pair.A.data.T
         assert vec.shape == ((pair.d2,) if norms == "input" else (pair.rank,)), name
+        np.testing.assert_allclose(np.sqrt(vec), prune_engine.batch_input_norm(source),
+                                   rtol=1e-12, atol=0, err_msg=name)
     if norms == "input":
         # wq, wk and wv read one activation: one norm, shared
-        assert stats["blocks.1.wq"] is stats["blocks.1.wk"] is stats["blocks.1.wv"]
-        assert len(calls) == 4
-    else:
-        assert len(calls) == len(MATRIX_KINDS)
+        assert (sums["blocks.1.wq"].tobytes() == sums["blocks.1.wk"].tobytes()
+                == sums["blocks.1.wv"].tobytes())
+    # a caller's vectors are overwritten in place
+    held = {name: np.full(vec.shape, np.nan) for name, vec in sums.items()}
+    _, again = model.forward(task.train_tokens[:8], norms, held)
+    assert again is held
+    for name, vec in sums.items():
+        assert held[name].tobytes() == vec.tobytes(), name
 
 
 # -- schedules and optimizers -------------------------------------------------
@@ -530,7 +544,9 @@ def test_resume_from_midpoint_is_bitwise(task):
 
 
 def test_resumed_event_records_equal_the_uninterrupted_runs(task):
-    # the resumed run logs the events it ran, after the checkpoint
+    # the checkpoint at step 8 carries the step-6 event, which no eval point
+    # has listed yet, so the resumed run's point 10 lists steps 6 and 9, as
+    # the uninterrupted run's does
     cfg = small_cfg(steps=20, eval_interval=5, prune=PruneConfig(0.5, 3, "prilora_A"))
     full = train(build_model(cfg, DIMS), task, cfg, checkpoint_at=8)
     resumed = train(build_model(cfg, DIMS), task, cfg, resume_from=full.mid_checkpoint)
@@ -538,8 +554,16 @@ def test_resumed_event_records_equal_the_uninterrupted_runs(task):
     def events(record):
         return [e for p in record.eval_points for e in p.prune_events]
 
-    assert events(resumed) == [e for e in events(full) if e["step"] > 8]
-    assert sorted({e["step"] for e in events(resumed)}) == [9, 12, 15, 18]
+    assert events(resumed) == [e for e in events(full) if e["step"] > 5]
+    assert sorted({e["step"] for e in resumed.eval_points[0].prune_events}) == [6, 9]
+    assert sorted({e["step"] for e in events(resumed)}) == [6, 9, 12, 15, 18]
+    assert ([p.to_json() for p in resumed.eval_points]
+            == [p.to_json() for p in full.eval_points if p.step > 8])
+    # a checkpoint at an eval step carries none: that point listed them
+    at_eval = train(build_model(cfg, DIMS), task, cfg, checkpoint_at=10)
+    again = train(build_model(cfg, DIMS), task, cfg, resume_from=at_eval.mid_checkpoint)
+    assert [p.to_json() for p in again.eval_points] == [p.to_json() for p in full.eval_points
+                                                        if p.step > 10]
 
 
 def test_checkpoint_at_a_step_the_call_does_not_run_refused(task, tmp_path):
