@@ -18,6 +18,13 @@ reduction dominates, not FLOPs: adapted_linear folds its leading axes into
 one 2-D GEMM in each direction, and layer norm and softmax sum their short
 rows as GEMVs (softmax takes its row max from a transposed copy, which is
 exact).
+
+``backward()`` uses up its graph: one backward per graph. As the reverse walk
+leaves an interior node it drops that node's gradient, its closure (and with
+it every array the op saved) and its parent links, so a step's activations
+are freed as they are used, not when the step ends. Leaves keep their
+gradients; a later backward that reaches a released node raises
+``ParameterError``.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ class Tensor:
     Leaf tensors are created directly; interior nodes are created by the op
     functions below, each of which records a backward closure that routes the
     incoming gradient to its parents. ``backward()`` on a scalar replays the
-    closures in reverse topological order.
+    closures in reverse topological order, releasing the graph as it goes.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
@@ -110,7 +117,13 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``."""
+        """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
+
+        One backward per graph: once an interior node's closure has run, its
+        ``grad``, closure and parent links are dropped, so interior gradients
+        and saved activations are freed during the walk. Leaves keep their
+        gradients. A later backward that reaches a released node with a
+        gradient raises ``ParameterError``."""
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar output, got shape {self.shape}")
         if not self.requires_grad:
@@ -131,9 +144,14 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:  # a leaf keeps its gradient
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            # what the closure saved, the interior grad and the parent links go now
+            node.grad, node._backward, node._prev = None, _released, ()
 
     # Operator sugar; every overload routes to the module-level op.
     def __add__(self, other):
@@ -183,6 +201,10 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
+
+
+def _released(g: np.ndarray) -> None:
+    raise ParameterError("graph already released by an earlier backward()")
 
 
 def _as_tensor(value) -> Tensor:
@@ -352,7 +374,7 @@ def _reduce(a: Tensor, axis, keepdims: bool, mean: bool) -> Tensor:
             shape = tuple(1 if i in axes else s for i, s in enumerate(a.data.shape))
             grad = grad.reshape(shape)
         grad = np.broadcast_to(grad, a.data.shape)
-        _accum(a, grad / count if mean else np.array(grad, copy=True))
+        _accum(a, grad / count if mean else grad)  # _accum copies a first gradient
 
     return _make(data, (a,), backward)
 

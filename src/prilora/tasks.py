@@ -17,6 +17,8 @@ an example, and the whole dataset is a pure function of the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
+from typing import Iterator
 
 import numpy as np
 
@@ -67,12 +69,40 @@ class SyntheticTask:
             raise ConfigError(f"sequence length must be >= 4, got {self.seq_len}")
         if self.train_count < 1 or self.eval_count < 1:
             raise ConfigError("train and eval counts must be positive")
-        if self.train_count + self.eval_count > self.vocab_size**self.seq_len:
+        total = self.train_count + self.eval_count
+        if total > self.vocab_size**self.seq_len:
             raise ConfigError(
                 f"{self.train_count} + {self.eval_count} distinct sequences do not fit in "
                 f"{self.vocab_size}**{self.seq_len} sequences of vocab size {self.vocab_size} "
                 f"and length {self.seq_len}"
             )
+        if self.kind == "linear_probe":
+            return  # unlabelled: any sequence of the vocab may appear
+        # labels alternate from 0, so label 0 takes the odd one out
+        for label, need in ((0, (total + 1) // 2), (1, total // 2)):
+            space = 0
+            for term in self._label_space_terms(label):
+                space += term
+                if space >= need:  # stop early: the full sum can be huge
+                    break
+            else:
+                raise ConfigError(
+                    f"{self.kind} yields only {space} distinct sequences with label {label} "
+                    f"at vocab size {self.vocab_size} and length {self.seq_len}; "
+                    f"{self.train_count} + {self.eval_count} need {need}"
+                )
+
+    def _label_space_terms(self, label: int) -> Iterator[int]:
+        """The distinct sequences _sample can yield with this label, counted
+        per marker count: the terms sum to the whole label space."""
+        n, v = self.seq_len, self.vocab_size
+        if self.kind == "token_majority":
+            for win in range(2, n // 2 + 1):
+                for lose in range(win - 1):
+                    yield comb(n, win) * comb(n - win, lose) * (v - 2) ** (n - win - lose)
+        else:  # parity_markers
+            for count in (label, label + 2):
+                yield comb(n, count) * (v - 1) ** (n - count)
 
     def build(self) -> TaskData:
         """Generate both splits deterministically from the seed."""

@@ -103,6 +103,13 @@ UNBUILDABLE = {
         .replace("task.train_count = 160", "task.train_count = 300")
         .replace("task.eval_count = 48", "task.eval_count = 10"),
         "300 + 10 distinct sequences do not fit in 4**4"),
+    # 4**5 = 1024 sequences hold 310, but only 80 carry each majority label
+    "label_space_too_small": (
+        TINY.replace("task.vocab_size = 8", "task.vocab_size = 4")
+        .replace("task.seq_len = 8", "task.seq_len = 5")
+        .replace("task.train_count = 160", "task.train_count = 300")
+        .replace("task.eval_count = 48", "task.eval_count = 10"),
+        "token_majority yields only 80 distinct sequences with label 0"),
 }
 GRID_COMMANDS = {
     "validate-config": ["validate-config"],

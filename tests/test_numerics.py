@@ -354,6 +354,47 @@ def test_backward_outside_graph_rejected():
         Tensor(rand((1,))).sum().backward()
 
 
+def graph_nodes(out):
+    """Every tensor reachable from out through parent links, out included."""
+    nodes, stack = {}, [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(t._prev)
+    return list(nodes.values())
+
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
+    w = Tensor(rand((4, 3), 40), requires_grad=True)
+    b = Tensor(rand((3,), 41), requires_grad=True)
+    x = Tensor(rand((2, 5, 4), 42))
+    h = numerics.relu(numerics.matmul(x, w) + b)  # used twice below
+    logits = numerics.layernorm(h.mean(axis=1)) + (h * h).sum(axis=1)
+    loss = numerics.softmax_cross_entropy(logits, np.array([0, 2]))
+    nodes = graph_nodes(loss)
+    interior = [t for t in nodes if t._prev]
+    assert len(interior) == 9  # matmul, add, relu, mean, layernorm, mul, sum, add, loss
+    loss.backward()
+    assert all(t.grad is None and t._prev == () for t in interior)
+    assert w.grad.shape == w.shape and b.grad.shape == b.shape
+    assert x.grad is None  # a frozen leaf gets none
+
+
+def test_a_released_graph_refuses_another_backward():
+    a = Tensor(rand((3,), 43), requires_grad=True)
+    h = a * a
+    loss = h.sum()
+    loss.backward()
+    first = a.grad.copy()
+    with pytest.raises(ParameterError, match="graph already released"):
+        loss.backward()
+    # a new graph over a released interior node reaches it with a gradient
+    with pytest.raises(ParameterError, match="graph already released"):
+        (h * 3.0).sum().backward()
+    assert np.array_equal(a.grad, first)
+
+
 def test_no_grad_blocks_graph_construction():
     a = Tensor(rand((2, 2)), requires_grad=True)
     with no_grad():

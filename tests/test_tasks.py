@@ -1,5 +1,8 @@
 """Synthetic task generators: determinism, split hygiene, label structure."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,10 @@ from hypothesis import strategies as st
 
 from prilora.errors import ConfigError, ParameterError
 from prilora.tasks import TASK_KINDS, SyntheticTask
+
+GOLDEN_TASK = json.loads(
+    (Path(__file__).parent / "golden" / "learning_sanity.json").read_text()
+)["task"]
 
 
 def build(kind, **kw):
@@ -140,14 +147,46 @@ def test_counts_beyond_the_sequence_space_are_a_config_error():
     # 4**4 = 256 sequences exist; refused before any data is built
     with pytest.raises(ConfigError, match=r"300 \+ 10 distinct sequences do not fit in 4\*\*4"):
         SyntheticTask("token_majority", vocab_size=4, seq_len=4, train_count=300, eval_count=10)
-    SyntheticTask("token_majority", vocab_size=4, seq_len=4, train_count=246, eval_count=10)
+    # a probe may use any of them
+    SyntheticTask("linear_probe", vocab_size=4, seq_len=4, train_count=246, eval_count=10)
 
 
 def test_exhausting_a_tiny_task_space_raises():
-    # seq_len 4 and vocab 4 admit only a few dozen distinct majority rows
-    with pytest.raises(ParameterError):
+    # seq_len 4 and vocab 4 admit only 24 distinct rows per majority label
+    with pytest.raises(ConfigError, match="only 24 distinct sequences with label 0"):
         build("token_majority", vocab_size=4, seq_len=4,
               train_count=100, eval_count=50)
+
+
+def test_a_sampler_that_finds_no_new_sequence_gives_up(monkeypatch):
+    # the space check passes; the attempt limit still ends a stuck search
+    monkeypatch.setattr(SyntheticTask, "_sample", lambda self, rng, index: (np.zeros(4, np.int64), 0.0))
+    with pytest.raises(ParameterError, match="could not generate 3 distinct sequences"):
+        build("token_majority", vocab_size=4, seq_len=4, train_count=2, eval_count=1)
+
+
+@pytest.mark.parametrize("kind, label, count, fits", [
+    # the majority pair in 5 slots, 2 filler tokens a slot: C(5,2)·2**3 a label
+    ("token_majority", 0, 80, 160),
+    # one or three zeros, 3 filler tokens a slot: 5·3**4 + 10·3**2 with label 1
+    ("parity_markers", 1, 495, 991),
+])
+def test_each_label_space_is_counted_exactly(kind, label, count, fits):
+    # labels alternate from 0: label 0 takes ceil(total / 2), label 1 the rest
+    with pytest.raises(ConfigError, match=f"only {count} distinct sequences with label {label}"):
+        SyntheticTask(kind, vocab_size=4, seq_len=5, train_count=fits, eval_count=1)
+    # the largest total that fits builds, and uses up that label's space
+    data = SyntheticTask(kind, vocab_size=4, seq_len=5, train_count=fits - 1, eval_count=1).build()
+    targets = np.concatenate([data.train_targets, data.eval_targets])
+    assert (targets == label).sum() == count
+
+
+@pytest.mark.parametrize("task", [
+    GOLDEN_TASK,  # the golden run and the ablation grid
+    dict(kind="token_majority", vocab_size=32, seq_len=32, train_count=512, eval_count=128),  # wide
+])
+def test_benchmarked_task_configs_pass_the_space_check(task):
+    SyntheticTask(**task)
 
 
 @settings(max_examples=20, deadline=None)
