@@ -3,10 +3,11 @@
 Each adapted matrix W0 (d1 x d2) gets a pair of small trainable factors:
 A (r x d2), drawn from a Gaussian, and B (d1 x r), initialized to zero, so
 the adapted forward pass starts out exactly equal to the frozen one. One
-tape node, ``numerics.adapted_linear``, adds scale * B @ (A @ x) to the
-frozen product; the pair can be folded back into one dense weight for
-inference. Only A and B carry gradients: the node yields dx, dA and dB and
-never one for the frozen weight, which never changes.
+tape node, ``numerics.adapted_linear``, folds the pair into the merged
+weight W0 + scale * B @ A and applies that in one product; ``merge`` forms
+the same weight for inference, so on 2-D input the two agree bit for bit.
+Only A and B carry gradients: the node yields dx, dA and dB and never one
+for the frozen weight, which never changes.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def init_adapter(
 
 
 def forward(layer: FrozenLinear, adapter: AdapterPair | None, x: Tensor) -> Tensor:
-    """Adapted linear map: x @ W0^T + scale * (x @ A^T) @ B^T.
+    """Adapted linear map: x @ (W0 + scale * B @ A)^T.
 
     x carries features on the trailing axis (width d2); output width is d1.
     Passing adapter=None gives the frozen layer alone.

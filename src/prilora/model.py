@@ -11,9 +11,10 @@ Blocks are pre-norm: x + Attn(LN(x)), then x + FFN(LN(x)). Attn projects
 LN(x) through wq, wk and wv, runs the multi-head attention core as one tape
 node (``numerics.attention``: head split, scaled q·kᵀ, softmax, ·v, head
 merge) and projects the merged heads through wo. Sequence output is
-mean-pooled, normalized, and mapped to logits by the head. When a run tracks
-input norms, the layer norms that feed wq/wk/wv and w1 hand over their
-output's sum of squares, taken from the squares their variance formed.
+mean-pooled, normalized, and mapped to logits by the head, all in one tape
+node (``numerics.pooled_head``). When a run tracks input norms, the layer
+norms that feed wq/wk/wv and w1 hand over their output's sum of squares,
+taken from the squares their variance formed.
 """
 
 from __future__ import annotations
@@ -211,9 +212,7 @@ class ToyModel:
             (proj,) = self._apply(i, ("w2",), numerics.relu(up), norms, sumsq)
             x = x + proj
 
-        pooled = numerics.layernorm(x.mean(axis=1))
-        logits = numerics.matmul(pooled, self.head_w.transpose()) + self.head_b
-        return logits, sumsq
+        return numerics.pooled_head(x, self.head_w, self.head_b), sumsq
 
     def trainable(self) -> dict[str, Tensor]:
         """Every tensor the optimizer may touch, in a stable order."""

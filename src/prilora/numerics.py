@@ -3,8 +3,9 @@ and a bit-exact serialization format.
 
 The differentiable op set is closed-world: exactly what the training stack
 composes (matmul/add and adapted_linear for affine maps, multi-head attention,
-ReLU, softmax and its cross-entropy, layer norm, elementwise arithmetic,
-reductions, shape moves), none forming a gradient for a frozen parent.
+ReLU, softmax and its cross-entropy, layer norm, the pooled classifier head,
+elementwise arithmetic, reductions, shape moves), none forming a gradient for
+a frozen parent.
 Everything is float64, row-major, which keeps gradient checks tight and
 serialized payloads byte-identical.
 
@@ -14,10 +15,11 @@ are owned here. The wire format has one parser, ``read_tensor``, which reads
 from a stream; ``tensor_from_bytes`` runs it over an in-memory buffer.
 
 At the training stack's small shapes numpy's cost per call and per short
-reduction dominates, not FLOPs: adapted_linear folds its leading axes into
-one 2-D GEMM in each direction, and layer norm and softmax sum their short
-rows as GEMVs (softmax takes its row max from a transposed copy, which is
-exact).
+reduction dominates, not FLOPs: adapted_linear folds its leading axes and
+its adapter pair into one 2-D GEMM by the merged weight W0 + scale·B·A, and
+layer norm and softmax sum their short rows as GEMVs against one cached ones
+vector per length (softmax takes its row max from a transposed copy, which
+is exact).
 
 ``backward()`` uses up its graph: one backward per graph. As the reverse walk
 leaves an interior node it drops that node's gradient, its closure (and with
@@ -29,6 +31,7 @@ gradients; a later backward that reaches a released node raises
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import math
@@ -52,6 +55,7 @@ __all__ = [
     "relu",
     "softmax",
     "layernorm",
+    "pooled_head",
     "softmax_cross_entropy",
     "gaussian",
     "grad_check",
@@ -292,33 +296,44 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def adapted_linear(x, W0: Tensor, A: Tensor, B: Tensor, scale: float) -> Tensor:
-    """x @ W0^T + scale * (x @ A^T) @ B^T as one tape node; W0 gets no gradient.
+def _scaled(a: np.ndarray, scale: float) -> np.ndarray:
+    """a *= scale in place, skipped at scale 1; returns a."""
+    if scale != 1.0:
+        a *= scale
+    return a
 
-    The leading axes of x fold into one, so every product in either
-    direction is a single 2-D GEMM; the numpy products and their order are
-    those of the matmul/mul/add composition over x reshaped to 2-D, so the
-    two agree bit for bit."""
+
+def _merged_weight(W0: Tensor, A: Tensor, B: Tensor, scale: float) -> np.ndarray:
+    """W0 + scale * B @ A as a new array."""
+    w = _scaled(B.data @ A.data, scale)
+    w += W0.data
+    return w
+
+
+def adapted_linear(x, W0: Tensor, A: Tensor, B: Tensor, scale: float) -> Tensor:
+    """x @ (W0 + scale * B @ A)^T as one tape node; W0 gets no gradient.
+
+    The leading axes of x fold into one, and the pair folds into the frozen
+    weight first (d1·r·d2 multiply-adds), so the forward is one 2-D GEMM over
+    x, as is dx in backward.
+    Backward rebuilds the merged weight from the live W0, A and B rather
+    than keep it, and forms the latent x @ A^T only for dB and g @ B only
+    for dA; dA and dB take their scale last, at the factors' own shapes.
+    Every multiply by scale is skipped at scale 1."""
     x = _as_tensor(x)
     if x.ndim < 2:
         raise ShapeError(f"adapted_linear needs 2-D or higher input, got {x.shape}")
     x2 = x.data.reshape(-1, x.data.shape[-1])
-    latent = x2 @ A.data.T
-    data = x2 @ W0.data.T
-    delta = latent @ B.data.T
-    delta *= scale
-    data += delta
+    data = x2 @ _merged_weight(W0, A, B, scale).T
 
     def backward(g: np.ndarray) -> None:
         g = g.reshape(data.shape)
-        g_lat = g * scale
-        _accum(B, (latent.T @ g_lat).T)
-        g_lat = g_lat @ B.data
-        if x.requires_grad:  # frozen path first, as the composition's reverse walk summed x
-            gx = g @ W0.data
-            gx += g_lat @ A.data
-            _accum(x, gx.reshape(x.data.shape))
-        _accum(A, (x2.T @ g_lat).T)
+        if x.requires_grad:
+            _accum(x, (g @ _merged_weight(W0, A, B, scale)).reshape(x.data.shape))
+        if B.requires_grad:
+            _accum(B, _scaled(g.T @ (x2 @ A.data.T), scale))
+        if A.requires_grad:
+            _accum(A, _scaled((g @ B.data).T @ x2, scale))
 
     return _make(data.reshape(*x.data.shape[:-1], data.shape[-1]), (x, A, B), backward)
 
@@ -384,8 +399,17 @@ def _reduce(a: Tensor, axis, keepdims: bool, mean: bool) -> Tensor:
 # over a transposed copy; max is exact, so _row_max has the bits of .max(-1).
 
 
+@functools.cache
+def ones(n: int) -> np.ndarray:
+    """A read-only vector of n ones, made once per length: the GEMV operand of
+    every row and column sum."""
+    v = np.ones(n)
+    v.flags.writeable = False
+    return v
+
+
 def _row_sums(a2: np.ndarray) -> np.ndarray:
-    return a2 @ np.ones(a2.shape[-1])
+    return a2 @ ones(a2.shape[-1])
 
 
 def _row_max(a2: np.ndarray) -> np.ndarray:
@@ -462,6 +486,28 @@ def attention(q, k, v, heads: int) -> Tensor:
     return _make(data, (q, k, v), backward)
 
 
+def _layernorm_rows(a2: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of a2 normalized: (xhat, istd, sq), sq the centred rows'
+    squares that the variance summed."""
+    n = a2.shape[-1]
+    xhat = a2 - (_row_sums(a2) / n)[:, None]
+    sq = xhat * xhat
+    istd = 1.0 / np.sqrt(_row_sums(sq) / n + eps)
+    xhat *= istd[:, None]
+    return xhat, istd, sq
+
+
+def _layernorm_rows_backward(g2: np.ndarray, xhat: np.ndarray, istd: np.ndarray) -> np.ndarray:
+    """The gradient at _layernorm_rows' input, given g2 at xhat."""
+    n = g2.shape[-1]
+    gm = _row_sums(g2) / n
+    gx = _row_sums(g2 * xhat) / n
+    out = g2 - gm[:, None]
+    out -= xhat * gx[:, None]
+    out *= istd[:, None]
+    return out
+
+
 def layernorm(a, eps: float = 1e-5, sumsq: np.ndarray | None = None) -> Tensor:
     """Normalize the last axis to zero mean, unit variance. No affine part.
 
@@ -471,24 +517,39 @@ def layernorm(a, eps: float = 1e-5, sumsq: np.ndarray | None = None) -> Tensor:
     the variance already squared; the squares are not kept for backward."""
     a = _as_tensor(a)
     n = a.data.shape[-1]
-    a2 = a.data.reshape(-1, n)
-    xhat = a2 - (_row_sums(a2) / n)[:, None]
-    sq = xhat * xhat
-    istd = 1.0 / np.sqrt(_row_sums(sq) / n + eps)
+    xhat, istd, sq = _layernorm_rows(a.data.reshape(-1, n), eps)
     if sumsq is not None:
         np.matmul(istd * istd, sq, out=sumsq)
-    xhat *= istd[:, None]
 
     def backward(g: np.ndarray) -> None:
-        g2 = g.reshape(-1, n)
-        gm = _row_sums(g2) / n
-        gx = _row_sums(g2 * xhat) / n
-        out = g2 - gm[:, None]
-        out -= xhat * gx[:, None]
-        out *= istd[:, None]
-        _accum(a, out.reshape(a.data.shape))
+        _accum(a, _layernorm_rows_backward(g.reshape(-1, n), xhat, istd).reshape(a.data.shape))
 
     return _make(xhat.reshape(a.data.shape), (a,), backward)
+
+
+def pooled_head(x, W: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
+    """The classifier tail as one tape node: x (batch, position, width)
+    mean-pooled over positions, layer-normed, then @ W^T + b.
+
+    The numpy calls and their order are those of the mean/layernorm/
+    transpose/matmul/add composition, so the two agree bit for bit."""
+    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
+    if x.ndim != 3 or W.ndim != 2 or W.shape[1] != x.shape[-1] or b.shape != W.shape[:1]:
+        raise ShapeError(f"pooled_head: x {x.shape}, W {W.shape} and b {b.shape} do not fit")
+    n = x.data.shape[1]
+    xhat, istd, _ = _layernorm_rows(x.data.mean(axis=1), eps)
+    data = xhat @ W.data.T + b.data
+
+    def backward(g: np.ndarray) -> None:
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
+        if W.requires_grad:
+            _accum(W, (xhat.T @ g).T)
+        if x.requires_grad:
+            g_pool = _layernorm_rows_backward(g @ W.data, xhat, istd)
+            _accum(x, np.broadcast_to((g_pool / n)[:, None, :], x.data.shape))
+
+    return _make(data, (x, W, b), backward)
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:

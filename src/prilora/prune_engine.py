@@ -26,7 +26,7 @@ import numpy as np
 
 from .adapter import AdapterPair, nonzero_param_count
 from .errors import ConfigError, NumericError, ParameterError, ShapeError
-from .numerics import Rng, Tensor
+from .numerics import Rng, Tensor, ones
 
 __all__ = [
     "PruneMask",
@@ -84,6 +84,14 @@ class PruneMask:
             raise ParameterError("mask must zero a uniform count per row or per column")
         object.__setattr__(self, "M", arr)
 
+    @classmethod
+    def _unchecked(cls, M: np.ndarray) -> "PruneMask":
+        """Wrap a uint8 0/1 mask its maker built uniform per row, without
+        __post_init__'s checks, which cost more than building it."""
+        mask = object.__new__(cls)
+        object.__setattr__(mask, "M", M)
+        return mask
+
     @property
     def zeros_written(self) -> int:
         return int(self.M.sum())
@@ -115,7 +123,7 @@ def batch_sum_squares(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     out when given; the column sums run as one GEMV. Its square root is
     batch_input_norm, without the checks."""
     arr = arr.reshape(-1, arr.shape[-1])
-    return np.matmul(np.ones(arr.shape[0]), arr * arr, out=out)
+    return np.matmul(ones(arr.shape[0]), arr * arr, out=out)
 
 
 def batch_input_norm(X) -> np.ndarray:
@@ -167,12 +175,13 @@ def build_mask(S, prune_ratio: float) -> PruneMask:
         raise ConfigError(f"prune ratio must lie in [0, 1], got {prune_ratio}")
     rows, width = scores.shape
     n = math.floor(prune_ratio * width)
-    mask = np.zeros((rows, width), dtype=np.uint8)
+    mask = np.zeros(rows * width, dtype=np.uint8)
     if n > 0:
         # Stable sort keeps equal scores in column order: lower index first.
-        order = np.argsort(scores, axis=1, kind="stable")
-        np.put_along_axis(mask, order[:, :n], 1, axis=1)
-    return PruneMask(mask)
+        flat = np.argsort(scores, axis=1, kind="stable")[:, :n]
+        flat += np.arange(0, rows * width, width)[:, None]  # row offsets into mask
+        mask[flat] = 1
+    return PruneMask._unchecked(mask.reshape(rows, width))
 
 
 def apply_mask(A, mask: PruneMask) -> np.ndarray:

@@ -174,6 +174,17 @@ def test_merge_equivalence_over_random_inputs():
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.75])
+def test_merge_back_is_exact(scale):
+    # the adapted forward multiplies by the merged weight itself, so folding
+    # the pair in first changes no bit of a 2-D input's output
+    layer = make_layer(7, 11, seed=16)
+    pair = randomized_pair(7, 11, 4, seed=17)
+    pair.scale = scale
+    x = Tensor(Rng(18).normal((5, 11)))
+    assert forward(merge(layer, pair), None, x).data.tobytes() == forward(layer, pair, x).data.tobytes()
+
+
 def test_merge_scale_is_applied():
     layer = FrozenLinear(Tensor(np.zeros((3, 3))))
     pair = AdapterPair(

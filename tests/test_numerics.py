@@ -183,14 +183,20 @@ def test_no_gradient_is_routed_to_a_frozen_parent(monkeypatch):
     assert any(t is w for t in routed)
 
 
-def composed_adapter(x, W0, A, B, scale):
-    """The adapted map as separate tape ops over x folded to 2-D: reshape,
-    matmul, transpose, mul, add, and a reshape back to x's leading axes."""
-    x2 = x.reshape(-1, x.shape[-1])
-    h = numerics.matmul(x2, W0.transpose())
-    latent = numerics.matmul(x2, A.transpose())
-    out = h + scale * numerics.matmul(latent, B.transpose())
-    return out.reshape(*x.shape[:-1], out.shape[-1])
+def formula_adapter(x, W0, A, B, scale):
+    """The adapted map's numpy formula as a tape node: with W = W0 +
+    scale·(B @ A) and x folded to 2-D, forward x @ Wᵀ, and backward dx =
+    g @ W, dB = scale·(gᵀ @ (x @ Aᵀ)), dA = scale·((g @ B)ᵀ @ x)."""
+    x2 = x.data.reshape(-1, x.shape[-1])
+    W = W0.data + scale * (B.data @ A.data)
+
+    def backward(g):
+        g = g.reshape(-1, W.shape[0])
+        numerics._accum(x, (g @ W).reshape(x.shape))
+        numerics._accum(B, scale * (g.T @ (x2 @ A.data.T)))
+        numerics._accum(A, scale * ((g @ B.data).T @ x2))
+
+    return numerics._make((x2 @ W.T).reshape(*x.shape[:-1], W.shape[0]), (x, A, B), backward)
 
 
 def composed_attention(q, k, v, heads):
@@ -203,12 +209,12 @@ def composed_attention(q, k, v, heads):
     return numerics.matmul(attn, v).swapaxes(1, 2).reshape(b, n, d)
 
 
-def attention_over_three_adapters(linear, core=composed_attention, seed=50):
+def attention_over_three_adapters(linear, core=composed_attention, seed=50, scale=0.75):
     """wq/wk/wv read one shared 3-D input, as in a model block, and feed an
     attention core with 2 heads; returns the three outputs, the core's, the
     loss and every gradient."""
     rng = Rng(seed)
-    d, dff, r, scale = 8, 8, 3, 0.75
+    d, dff, r = 8, 8, 3
     x = Tensor(rng.child("x").normal((2, 5, d)), requires_grad=True)
     h = numerics.layernorm(x)  # an interior node, like a block's LN output
     outs, factors = [], []
@@ -227,12 +233,14 @@ def attention_over_three_adapters(linear, core=composed_attention, seed=50):
 
 
 def test_adapted_linear_matches_the_composition_bitwise():
-    fused = attention_over_three_adapters(numerics.adapted_linear)
-    reference = attention_over_three_adapters(composed_adapter)
-    assert len(fused) == len(reference) == 12
-    for got, want in zip(fused, reference):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    # at scale 1 the node skips every multiply by scale, which changes no bit
+    for scale in (1.0, 0.75):
+        fused = attention_over_three_adapters(numerics.adapted_linear, scale=scale)
+        reference = attention_over_three_adapters(formula_adapter, scale=scale)
+        assert len(fused) == len(reference) == 12
+        for got, want in zip(fused, reference):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_adapted_linear_gradients_match_finite_differences():
@@ -330,6 +338,58 @@ def test_layernorm_matches_the_gemv_row_sum_formula_bitwise():
     w = Tensor(rand((2, 3, 5), 100))
     # criterion 8's tolerance
     assert grad_check(lambda: (numerics.layernorm(x) * w).sum(), [x], eps=1e-4) < 1e-5
+
+
+def composed_head(x, W, b):
+    """The classifier tail as separate tape ops: mean-pool, layer norm, head
+    transpose, matmul, bias add."""
+    return numerics.matmul(numerics.layernorm(x.mean(axis=1)), W.transpose()) + b
+
+
+def head_over_a_shared_input(head, outputs):
+    """A pooled head over an interior 3-D node, under a loss that weights
+    every logit; returns the logits, the loss and every gradient."""
+    rng = Rng(110 + outputs)
+    x = Tensor(rng.child("x").normal((3, 5, 8)), requires_grad=True)
+    W = Tensor(rng.child("W").normal((outputs, 8)), requires_grad=True)
+    b = Tensor(rng.child("b").normal((outputs,)), requires_grad=True)
+    logits = head(numerics.relu(x), W, b)
+    loss = (logits * logits * Tensor(rng.child("w").normal((3, outputs)))).mean()
+    loss.backward()
+    return [logits.data, loss.data, x.grad, W.grad, b.grad]
+
+
+@pytest.mark.parametrize("outputs", [2, 1])
+def test_pooled_head_matches_the_composition_bitwise(outputs):
+    fused = head_over_a_shared_input(numerics.pooled_head, outputs)
+    reference = head_over_a_shared_input(composed_head, outputs)
+    for got, want in zip(fused, reference):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("outputs", [3, 1])
+def test_pooled_head_gradients_match_finite_differences(outputs):
+    rng = Rng(120)
+    x = Tensor(rng.child("x").normal((2, 4, 6)), requires_grad=True)
+    W = Tensor(rng.child("W").normal((outputs, 6)), requires_grad=True)
+    b = Tensor(rng.child("b").normal((outputs,)), requires_grad=True)
+    w = Tensor(rng.child("w").normal((2, outputs)))
+
+    def f():
+        h = numerics.pooled_head(x, W, b)
+        return (h * h * w).mean()
+
+    # criterion 8's tolerance
+    assert grad_check(f, [x, W, b], eps=1e-4) < 1e-5
+
+
+def test_pooled_head_shape_errors():
+    x, W, b = Tensor(rand((2, 4, 6), 121)), Tensor(rand((3, 6), 122)), Tensor(rand((3,), 123))
+    for args in ((Tensor(rand((4, 6), 124)), W, b), (x, Tensor(rand((3, 5), 125)), b),
+                 (x, W, Tensor(rand((2,), 126)))):
+        with pytest.raises(ShapeError):
+            numerics.pooled_head(*args)
 
 
 def test_softmax_row_max_equals_numpy_max_bitwise():

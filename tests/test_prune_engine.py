@@ -155,6 +155,26 @@ def test_build_mask_invariant_under_positive_scaling():
         assert np.array_equal(build_mask(S, 0.5).M, build_mask(c * S, 0.5).M)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(0, 6),
+    width=st.integers(0, 12),
+    ratio=st.sampled_from([0.0, 0.1, 0.5, 0.75, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_build_mask_matches_the_sort_oracle_and_passes_the_mask_checks(rows, width, ratio, seed):
+    # coarse integer scores, so ties are common
+    S = Rng(seed).integers(0, 4, size=(rows, width)).astype(np.float64)
+    n = int(np.floor(ratio * width))
+    oracle = np.zeros((rows, width), dtype=np.uint8)
+    np.put_along_axis(oracle, np.argsort(S, axis=1, kind="stable")[:, :n], 1, axis=1)
+    mask = build_mask(S, ratio)
+    assert mask.M.dtype == np.uint8 and mask.M.flags.c_contiguous
+    assert mask.M.tobytes() == oracle.tobytes() and mask.M.shape == oracle.shape
+    assert PruneMask(mask.M).M.tobytes() == mask.M.tobytes()
+    assert mask.zeros_written == rows * n
+
+
 def test_build_mask_ratio_validation():
     with pytest.raises(ConfigError):
         build_mask(np.ones((2, 2)), 1.5)

@@ -16,7 +16,7 @@ from prilora import prune_engine
 from prilora.checkpoint import capture_state
 from prilora.errors import ConfigError, FormatError, ParameterError, ShapeError, TrainingDiverged
 from prilora.model import MATRIX_KINDS, ModelDims, ToyModel
-from prilora.numerics import Rng, Tensor, fingerprint
+from prilora.numerics import Rng, Tensor, fingerprint, grad_check
 from prilora.prune_engine import STRATEGIES, PruneConfig, norm_widths, tracked_norms
 from prilora.rank_plan import concentrated_plan, linear_plan, uniform_plan
 from prilora.tasks import SyntheticTask, TaskData
@@ -101,10 +101,10 @@ def test_adapt_kinds_subset_limits_attachment():
     }
 
 
-def test_golden_training_step_makes_29_tape_nodes():
+def test_golden_training_step_makes_25_tape_nodes():
     """Per block: LN (block 0 reads the embeddings, which need no grad), wq,
-    wk, wv, the attention core, wo, add, LN, w1, ReLU, w2, add; then mean,
-    LN, head transpose, matmul, bias add and the loss."""
+    wk, wv, the attention core, wo, add, LN, w1, ReLU, w2, add; then the
+    pooled head and the loss."""
     golden = json.loads((Path(__file__).parent / "golden" / "learning_sanity.json").read_text())
     g = golden["train"]
     cfg = small_cfg(plan=linear_plan(golden["dims"]["num_layers"], golden["plan"]["first_rank"],
@@ -121,7 +121,7 @@ def test_golden_training_step_makes_29_tape_nodes():
             seen.add(id(t))
             nodes += t._backward is not None
             stack.extend(t._prev)
-    assert nodes == 29
+    assert nodes == 25
 
 
 def test_plan_depth_mismatch_rejected():
@@ -180,6 +180,30 @@ def test_gradients_flow_to_adapters_and_head_only(task):
     for block in model.blocks:
         for kind in MATRIX_KINDS:
             assert block[kind].W0.grad is None
+
+
+def test_one_output_regression_head_gradients_match_finite_differences():
+    # linear_probe's one-output head under the squared-error loss, which
+    # reshapes the pooled head's (batch, 1) logits
+    dims = dataclasses.replace(DIMS, num_outputs=1)
+    task = SyntheticTask("linear_probe", vocab_size=8, seq_len=8, train_count=40,
+                         eval_count=8, seed=5).build()
+    assert task.is_regression and task.num_outputs == 1
+    model = build_model(small_cfg(), dims)
+    rng = Rng(130)
+    model.head_w.data[...] = rng.child("hw").normal(model.head_w.shape, std=0.3)
+    model.head_b.data[...] = rng.child("hb").normal(model.head_b.shape, std=0.1)
+    pair = model.adapters["blocks.1.w2"]
+    pair.B.data[...] = rng.child("B").normal(pair.B.shape, std=0.1)
+    tokens, targets = task.train_tokens[:4], task.train_targets[:4]
+
+    def loss():
+        logits, _ = model.forward(tokens)
+        assert logits.shape == (4, 1)
+        return _loss(logits, targets, True)
+
+    # criterion 8's tolerance
+    assert grad_check(loss, [model.head_w, model.head_b, pair.A, pair.B], eps=1e-4) < 1e-5
 
 
 @pytest.mark.memory
