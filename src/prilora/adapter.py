@@ -93,10 +93,6 @@ class AdapterPair:
     def d2(self) -> int:
         return self.A.shape[1]
 
-    def delta(self) -> np.ndarray:
-        """The dense weight update this pair currently encodes."""
-        return self.scale * (self.B.data @ self.A.data)
-
 
 def init_adapter(
     d1: int,
@@ -146,7 +142,9 @@ def merge(layer: FrozenLinear, adapter: AdapterPair) -> FrozenLinear:
             f"adapter ({adapter.d1}, {adapter.d2}) does not fit layer "
             f"({layer.out_features}, {layer.in_features})"
         )
-    return FrozenLinear(W0=Tensor(layer.W0.data + adapter.delta()))
+    return FrozenLinear(
+        W0=Tensor(numerics.merged_weight(layer.W0, adapter.A, adapter.B, adapter.scale))
+    )
 
 
 def trainable_param_count(

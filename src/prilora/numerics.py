@@ -49,6 +49,7 @@ __all__ = [
     "no_grad",
     "matmul",
     "adapted_linear",
+    "merged_weight",
     "attention",
     "add",
     "mul",
@@ -303,8 +304,9 @@ def _scaled(a: np.ndarray, scale: float) -> np.ndarray:
     return a
 
 
-def _merged_weight(W0: Tensor, A: Tensor, B: Tensor, scale: float) -> np.ndarray:
-    """W0 + scale * B @ A as a new array."""
+def merged_weight(W0: Tensor, A: Tensor, B: Tensor, scale: float) -> np.ndarray:
+    """W0 + scale * B @ A as a new array: the one merge formula, which
+    adapted_linear and adapter.merge both apply."""
     w = _scaled(B.data @ A.data, scale)
     w += W0.data
     return w
@@ -316,22 +318,25 @@ def adapted_linear(x, W0: Tensor, A: Tensor, B: Tensor, scale: float) -> Tensor:
     The leading axes of x fold into one, and the pair folds into the frozen
     weight first (d1·r·d2 multiply-adds), so the forward is one 2-D GEMM over
     x, as is dx in backward.
-    Backward rebuilds the merged weight from the live W0, A and B rather
-    than keep it, and forms the latent x @ A^T only for dB and g @ B only
-    for dA; dA and dB take their scale last, at the factors' own shapes.
+    When B is to get a gradient the forward also keeps the latent x @ A^T
+    (rows x rank) for dB, formed as (latent^T @ g)^T, which OpenBLAS runs
+    faster than g^T @ latent. Backward rebuilds the merged weight from the
+    live W0, A and B rather than keep it, and forms g @ B only for dA; dA
+    and dB take their scale last, at the factors' own shapes.
     Every multiply by scale is skipped at scale 1."""
     x = _as_tensor(x)
     if x.ndim < 2:
         raise ShapeError(f"adapted_linear needs 2-D or higher input, got {x.shape}")
     x2 = x.data.reshape(-1, x.data.shape[-1])
-    data = x2 @ _merged_weight(W0, A, B, scale).T
+    data = x2 @ merged_weight(W0, A, B, scale).T
+    latent = x2 @ A.data.T if _grad_enabled and B.requires_grad else None
 
     def backward(g: np.ndarray) -> None:
         g = g.reshape(data.shape)
         if x.requires_grad:
-            _accum(x, (g @ _merged_weight(W0, A, B, scale)).reshape(x.data.shape))
+            _accum(x, (g @ merged_weight(W0, A, B, scale)).reshape(x.data.shape))
         if B.requires_grad:
-            _accum(B, _scaled(g.T @ (x2 @ A.data.T), scale))
+            _accum(B, _scaled((latent.T @ g).T, scale))
         if A.requires_grad:
             _accum(A, _scaled((g @ B.data).T @ x2, scale))
 
@@ -486,6 +491,9 @@ def attention(q, k, v, heads: int) -> Tensor:
     return _make(data, (q, k, v), backward)
 
 
+_LAYERNORM_EPS = 1e-5  # the variance floor of layernorm and pooled_head
+
+
 def _layernorm_rows(a2: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row of a2 normalized: (xhat, istd, sq), sq the centred rows'
     squares that the variance summed."""
@@ -508,7 +516,7 @@ def _layernorm_rows_backward(g2: np.ndarray, xhat: np.ndarray, istd: np.ndarray)
     return out
 
 
-def layernorm(a, eps: float = 1e-5, sumsq: np.ndarray | None = None) -> Tensor:
+def layernorm(a, eps: float = _LAYERNORM_EPS, sumsq: np.ndarray | None = None) -> Tensor:
     """Normalize the last axis to zero mean, unit variance. No affine part.
 
     Row sums run as GEMVs over the input folded to 2-D. Given sumsq, a
@@ -527,7 +535,7 @@ def layernorm(a, eps: float = 1e-5, sumsq: np.ndarray | None = None) -> Tensor:
     return _make(xhat.reshape(a.data.shape), (a,), backward)
 
 
-def pooled_head(x, W: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
+def pooled_head(x, W: Tensor, b: Tensor) -> Tensor:
     """The classifier tail as one tape node: x (batch, position, width)
     mean-pooled over positions, layer-normed, then @ W^T + b.
 
@@ -537,7 +545,7 @@ def pooled_head(x, W: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
     if x.ndim != 3 or W.ndim != 2 or W.shape[1] != x.shape[-1] or b.shape != W.shape[:1]:
         raise ShapeError(f"pooled_head: x {x.shape}, W {W.shape} and b {b.shape} do not fit")
     n = x.data.shape[1]
-    xhat, istd, _ = _layernorm_rows(x.data.mean(axis=1), eps)
+    xhat, istd, _ = _layernorm_rows(x.data.mean(axis=1), _LAYERNORM_EPS)
     data = xhat @ W.data.T + b.data
 
     def backward(g: np.ndarray) -> None:

@@ -186,14 +186,14 @@ def test_no_gradient_is_routed_to_a_frozen_parent(monkeypatch):
 def formula_adapter(x, W0, A, B, scale):
     """The adapted map's numpy formula as a tape node: with W = W0 +
     scale·(B @ A) and x folded to 2-D, forward x @ Wᵀ, and backward dx =
-    g @ W, dB = scale·(gᵀ @ (x @ Aᵀ)), dA = scale·((g @ B)ᵀ @ x)."""
+    g @ W, dB = scale·((x @ Aᵀ)ᵀ @ g)ᵀ, dA = scale·((g @ B)ᵀ @ x)."""
     x2 = x.data.reshape(-1, x.shape[-1])
     W = W0.data + scale * (B.data @ A.data)
 
     def backward(g):
         g = g.reshape(-1, W.shape[0])
         numerics._accum(x, (g @ W).reshape(x.shape))
-        numerics._accum(B, scale * (g.T @ (x2 @ A.data.T)))
+        numerics._accum(B, scale * ((x2 @ A.data.T).T @ g).T)
         numerics._accum(A, scale * ((g @ B.data).T @ x2))
 
     return numerics._make((x2 @ W.T).reshape(*x.shape[:-1], W.shape[0]), (x, A, B), backward)
