@@ -13,14 +13,13 @@ for the frozen weight, which never changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import numerics
 from .errors import ParameterError, RankError, ShapeError
 from .numerics import Rng, Tensor
-from .rank_plan import RankPlan
 
 __all__ = [
     "FrozenLinear",
@@ -106,8 +105,6 @@ def init_adapter(
     """Fresh pair: A ~ N(0, std^2), B = 0, so the initial delta is zero."""
     if r < 1:
         raise RankError(f"adapter rank must be >= 1, got {r}")
-    if r > min(d1, d2):
-        raise RankError(f"rank {r} exceeds min({d1}, {d2})")
     if std <= 0:
         raise ParameterError(f"init std must be positive, got {std}")
     A = numerics.gaussian(rng, (r, d2), mean=0.0, std=std)
@@ -147,32 +144,11 @@ def merge(layer: FrozenLinear, adapter: AdapterPair) -> FrozenLinear:
     )
 
 
-def trainable_param_count(
-    plan: RankPlan, layer_shapes: Sequence[Sequence[tuple[int, int]]]
-) -> int:
-    """Total adapter parameters: sum of r * (d1 + d2) over adapted matrices.
-
-    layer_shapes holds, per layer, the (d1, d2) of every matrix that would
-    receive an adapter. Pruned-to-zero entries still count; the budget is
-    about allocated capacity, not momentary sparsity.
-    """
-    if len(layer_shapes) != plan.num_layers:
-        raise RankError(
-            f"plan covers {plan.num_layers} layers but shapes were given for "
-            f"{len(layer_shapes)}"
-        )
-    total = 0
-    for layer, shapes in enumerate(layer_shapes):
-        r = plan.ranks[layer]
-        if r == 0:
-            continue
-        for d1, d2 in shapes:
-            if r > min(d1, d2):
-                raise RankError(
-                    f"layer {layer} rank {r} exceeds min({d1}, {d2}) for one of its matrices"
-                )
-            total += r * (d1 + d2)
-    return total
+def trainable_param_count(layout: Mapping[str, tuple[int, int, int]]) -> int:
+    """Total adapter parameters of a model.adapter_layout: the sum of
+    r * (d1 + d2) over its pairs. Pruned-to-zero entries still count; the
+    budget is about allocated capacity, not momentary sparsity."""
+    return sum(r * (d1 + d2) for d1, d2, r in layout.values())
 
 
 def nonzero_param_count(adapters: Iterable[AdapterPair]) -> int:

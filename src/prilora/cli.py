@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapter import trainable_param_count
 from .config import (
     build_dims,
     build_plan,
@@ -45,7 +44,7 @@ from .errors import (
     RankError,
     TrainingDiverged,
 )
-from .model import ModelDims, layer_shapes
+from .model import ModelDims, adapter_layout
 from .tasks import SyntheticTask
 from .train_harness import EvalPoint, TrainConfig, build_model, steps_to_peak, train
 
@@ -83,7 +82,7 @@ def _specs(cfg: dict, seed: int) -> tuple[SyntheticTask, TrainConfig, ModelDims]
     task_spec = build_task(cfg, seed)
     tcfg = build_train_config(cfg, build_plan(cfg), seed)
     dims = build_dims(cfg, task_spec)
-    trainable_param_count(tcfg.plan, layer_shapes(dims, tcfg.adapt_kinds))
+    adapter_layout(dims, tcfg.plan, tcfg.adapt_kinds)
     return task_spec, tcfg, dims
 
 

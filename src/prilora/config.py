@@ -254,7 +254,7 @@ def build_dims(cfg: Mapping[str, object], task: SyntheticTask) -> ModelDims:
     return ModelDims(
         vocab_size=task.vocab_size,
         seq_len=task.seq_len,
-        num_outputs=1 if task.kind == "linear_probe" else 2,
+        num_outputs=task.num_outputs,
         **_kwargs(cfg, ModelDims),
     )
 

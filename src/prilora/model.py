@@ -2,8 +2,9 @@
 
 The base network (embeddings, positions, and per-block attention and FFN
 matrices) is initialized once from a seed and never trained. Each block's
-six matrices receive an adapter pair at the rank the plan assigns to that
-block; a plan rank of zero leaves the block unadapted. The only other
+matrices of the adapted kinds receive an adapter pair at the rank the plan
+assigns to that block; a plan rank of zero leaves the block unadapted, and
+``adapter_layout`` is the one place that decides this. The only other
 trainable parameters are the zero-initialized classifier head, so an
 untrained model always predicts uniform logits.
 
@@ -26,11 +27,11 @@ import numpy as np
 
 from . import numerics, prune_engine
 from .adapter import AdapterPair, FrozenLinear, forward as adapter_forward, init_adapter
-from .errors import ConfigError, ParameterError, ShapeError
+from .errors import ConfigError, ParameterError, RankError, ShapeError
 from .numerics import Rng, Tensor
 from .rank_plan import RankPlan
 
-__all__ = ["ModelDims", "ToyModel", "MATRIX_KINDS", "matrix_shape", "layer_shapes"]
+__all__ = ["ModelDims", "ToyModel", "MATRIX_KINDS", "matrix_shape", "adapter_layout"]
 
 # The adapted matrices inside one block, in forward-pass order.
 MATRIX_KINDS = ("wq", "wk", "wv", "wo", "w1", "w2")
@@ -67,10 +68,25 @@ def matrix_shape(kind: str, dims: ModelDims) -> tuple[int, int]:
     raise ConfigError(f"unknown matrix kind {kind!r}; choose from {MATRIX_KINDS}")
 
 
-def layer_shapes(dims: ModelDims, kinds=MATRIX_KINDS) -> list[list[tuple[int, int]]]:
-    """Per-layer matrix shapes, as adapter budget accounting expects them."""
-    per_layer = [matrix_shape(kind, dims) for kind in kinds]
-    return [list(per_layer) for _ in range(dims.num_layers)]
+def adapter_layout(
+    dims: ModelDims, plan: RankPlan, kinds=MATRIX_KINDS
+) -> dict[str, tuple[int, int, int]]:
+    """{name: (d1, d2, rank)} of every matrix that carries an adapter pair,
+    layer by layer and in kinds' order within a layer; a layer of plan rank
+    0 carries none. Building, validating and budget accounting all read it."""
+    if plan.num_layers != dims.num_layers:
+        raise ConfigError(
+            f"plan covers {plan.num_layers} layers but the model has {dims.num_layers}"
+        )
+    shapes = {kind: matrix_shape(kind, dims) for kind in kinds}
+    layout: dict[str, tuple[int, int, int]] = {}
+    for i, r in enumerate(plan.ranks):
+        for kind, (d1, d2) in shapes.items():
+            if r > min(d1, d2):
+                raise RankError(f"layer {i} rank {r} exceeds min({d1}, {d2}) for {kind}")
+            if r > 0:
+                layout[f"blocks.{i}.{kind}"] = (d1, d2, r)
+    return layout
 
 
 class ToyModel:
@@ -104,18 +120,11 @@ class ToyModel:
         adapter_scale: float = 1.0,
         adapt_kinds=MATRIX_KINDS,
     ) -> "ToyModel":
-        """Seed the frozen base, attach adapters where the plan says to."""
-        if plan.num_layers != dims.num_layers:
-            raise ConfigError(
-                f"plan covers {plan.num_layers} layers but the model has {dims.num_layers}"
-            )
-        for kind in adapt_kinds:
-            if kind not in MATRIX_KINDS:
-                raise ConfigError(f"unknown matrix kind {kind!r}; choose from {MATRIX_KINDS}")
+        """Seed the frozen base, attach adapters where adapter_layout says to."""
+        layout = adapter_layout(dims, plan, adapt_kinds)
         embed = rng.child("base/embed").normal((dims.vocab_size, dims.d_model))
         pos = rng.child("base/pos").normal((dims.seq_len, dims.d_model))
         blocks: list[dict[str, FrozenLinear]] = []
-        adapters: dict[str, AdapterPair] = {}
         for i in range(dims.num_layers):
             block: dict[str, FrozenLinear] = {}
             for kind in MATRIX_KINDS:
@@ -123,21 +132,18 @@ class ToyModel:
                 w = rng.child(f"base/block{i}/{kind}").normal((d1, d2), std=d2**-0.5)
                 block[kind] = FrozenLinear(Tensor(w))
             blocks.append(block)
-            r = plan.ranks[i]
-            if r == 0:
-                continue
-            for kind in adapt_kinds:
-                d1, d2 = matrix_shape(kind, dims)
-                name = f"blocks.{i}.{kind}"
-                adapters[name] = init_adapter(
-                    d1,
-                    d2,
-                    r,
-                    rng.child(f"adapter/{name}"),
-                    std=adapter_std,
-                    scale=adapter_scale,
-                    frozen_ref=name,
-                )
+        adapters = {
+            name: init_adapter(
+                d1,
+                d2,
+                r,
+                rng.child(f"adapter/{name}"),
+                std=adapter_std,
+                scale=adapter_scale,
+                frozen_ref=name,
+            )
+            for name, (d1, d2, r) in layout.items()
+        }
         head_w = Tensor(np.zeros((dims.num_outputs, dims.d_model)), requires_grad=True)
         head_b = Tensor(np.zeros(dims.num_outputs), requires_grad=True)
         return cls(dims, plan, embed, pos, blocks, adapters, head_w, head_b)
@@ -179,12 +185,12 @@ class ToyModel:
         tokens: np.ndarray,
         norms: str | None = None,
         sumsq: Mapping[str, np.ndarray] | None = None,
-    ) -> tuple[Tensor, Mapping[str, np.ndarray]]:
-        """Logits for a token batch, plus, for the source norms names as
+    ) -> Tensor:
+        """Logits for a token batch. For the source norms names as
         prune_engine.tracked_norms does (None: none), each adapted matrix's
         per-feature sum of squares of that source over batch and position, the
-        square of its batch_input_norm. The sums overwrite sumsq's vectors when
-        it is given, and fill new ones otherwise."""
+        square of its batch_input_norm, overwrites its vector in sumsq, which
+        holds one per layer prune_engine.norm_widths names."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
@@ -195,11 +201,6 @@ class ToyModel:
             raise ShapeError(f"sequence length {n} exceeds model maximum {self.dims.seq_len}")
         if tokens.min() < 0 or tokens.max() >= self.dims.vocab_size:
             raise ParameterError(f"token ids must lie in [0, {self.dims.vocab_size})")
-        if norms is None:
-            sumsq = {}
-        elif sumsq is None:
-            sumsq = {name: np.empty(pair.d2 if norms == "input" else pair.rank)
-                     for name, pair in self.adapters.items()}
 
         x = Tensor(self.embed[tokens] + self.pos[:n])
         for i in range(len(self.blocks)):
@@ -212,7 +213,7 @@ class ToyModel:
             (proj,) = self._apply(i, ("w2",), numerics.relu(up), norms, sumsq)
             x = x + proj
 
-        return numerics.pooled_head(x, self.head_w, self.head_b), sumsq
+        return numerics.pooled_head(x, self.head_w, self.head_b)
 
     def trainable(self) -> dict[str, Tensor]:
         """Every tensor the optimizer may touch, in a stable order."""

@@ -494,13 +494,13 @@ def attention(q, k, v, heads: int) -> Tensor:
 _LAYERNORM_EPS = 1e-5  # the variance floor of layernorm and pooled_head
 
 
-def _layernorm_rows(a2: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _layernorm_rows(a2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row of a2 normalized: (xhat, istd, sq), sq the centred rows'
     squares that the variance summed."""
     n = a2.shape[-1]
     xhat = a2 - (_row_sums(a2) / n)[:, None]
     sq = xhat * xhat
-    istd = 1.0 / np.sqrt(_row_sums(sq) / n + eps)
+    istd = 1.0 / np.sqrt(_row_sums(sq) / n + _LAYERNORM_EPS)
     xhat *= istd[:, None]
     return xhat, istd, sq
 
@@ -516,7 +516,7 @@ def _layernorm_rows_backward(g2: np.ndarray, xhat: np.ndarray, istd: np.ndarray)
     return out
 
 
-def layernorm(a, eps: float = _LAYERNORM_EPS, sumsq: np.ndarray | None = None) -> Tensor:
+def layernorm(a, sumsq: np.ndarray | None = None) -> Tensor:
     """Normalize the last axis to zero mean, unit variance. No affine part.
 
     Row sums run as GEMVs over the input folded to 2-D. Given sumsq, a
@@ -525,7 +525,7 @@ def layernorm(a, eps: float = _LAYERNORM_EPS, sumsq: np.ndarray | None = None) -
     the variance already squared; the squares are not kept for backward."""
     a = _as_tensor(a)
     n = a.data.shape[-1]
-    xhat, istd, sq = _layernorm_rows(a.data.reshape(-1, n), eps)
+    xhat, istd, sq = _layernorm_rows(a.data.reshape(-1, n))
     if sumsq is not None:
         np.matmul(istd * istd, sq, out=sumsq)
 
@@ -545,7 +545,7 @@ def pooled_head(x, W: Tensor, b: Tensor) -> Tensor:
     if x.ndim != 3 or W.ndim != 2 or W.shape[1] != x.shape[-1] or b.shape != W.shape[:1]:
         raise ShapeError(f"pooled_head: x {x.shape}, W {W.shape} and b {b.shape} do not fit")
     n = x.data.shape[1]
-    xhat, istd, _ = _layernorm_rows(x.data.mean(axis=1), _LAYERNORM_EPS)
+    xhat, istd, _ = _layernorm_rows(x.data.mean(axis=1))
     data = xhat @ W.data.T + b.data
 
     def backward(g: np.ndarray) -> None:

@@ -92,6 +92,11 @@ class SyntheticTask:
                     f"{self.train_count} + {self.eval_count} need {need}"
                 )
 
+    @property
+    def num_outputs(self) -> int:
+        """The model head's width: one regression value, or two class logits."""
+        return 1 if self.kind == "linear_probe" else 2
+
     def _label_space_terms(self, label: int) -> Iterator[int]:
         """The distinct sequences _sample can yield with this label, counted
         per marker count: the terms sum to the whole label space."""
@@ -135,10 +140,8 @@ class SyntheticTask:
             spread = targets.std()
             if spread > 0:
                 targets = (targets - targets.mean()) / spread
-            num_outputs, is_regression = 1, True
         else:
             targets = np.asarray(raw_targets, dtype=np.int64)
-            num_outputs, is_regression = 2, False
 
         split = self.train_count
         return TaskData(
@@ -147,8 +150,8 @@ class SyntheticTask:
             train_targets=targets[:split],
             eval_tokens=tokens[split:],
             eval_targets=targets[split:],
-            num_outputs=num_outputs,
-            is_regression=is_regression,
+            num_outputs=self.num_outputs,
+            is_regression=self.kind == "linear_probe",
         )
 
     def _sample(self, rng: Rng, index: int) -> tuple[np.ndarray, float]:

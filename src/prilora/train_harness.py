@@ -32,7 +32,7 @@ from . import checkpoint as checkpoint_mod
 from . import numerics
 from .adapter import nonzero_param_count, trainable_param_count
 from .errors import ConfigError, ParameterError, ShapeError, TrainingDiverged
-from .model import MATRIX_KINDS, ModelDims, ToyModel, layer_shapes
+from .model import MATRIX_KINDS, ModelDims, ToyModel, adapter_layout
 from .numerics import Rng, Tensor
 from .prune_engine import (
     PruneConfig, ema_update, norm_widths, prune_event, should_prune, tracked_norms
@@ -56,6 +56,7 @@ __all__ = [
 
 OPTIMIZERS = ("adam", "sgd")
 SCHEDULES = ("linear", "constant")
+_EVAL_BATCH = 64  # held-out sequences per evaluation forward pass
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,11 @@ class TrainConfig:
             raise ConfigError(f"EMA decay must lie in (0, 1), got {self.ema_decay}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if not self.adapt_kinds or len(set(self.adapt_kinds)) != len(self.adapt_kinds):
+            raise ConfigError(
+                "adapter kinds must name at least one kind, each once; "
+                f"got {list(self.adapt_kinds)}"
+            )
 
 
 @dataclass
@@ -191,15 +197,10 @@ class Adam:
     """Adam over one flat buffer per slot; ``m`` and ``v`` hold each
     parameter's view into its slot's buffer."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         shapes = {k: p.data.shape for k, p in params.items()}
         size = sum(p.data.size for p in params.values())
@@ -290,17 +291,17 @@ def _accuracy(logits: np.ndarray, targets: np.ndarray, is_regression: bool) -> i
     return int((logits.argmax(axis=1) == targets).sum())
 
 
-def evaluate(model: ToyModel, task: TaskData, batch_size: int = 64) -> dict:
+def evaluate(model: ToyModel, task: TaskData) -> dict:
     """Loss and accuracy over the held-out split; no side effects."""
     if task.eval_count < 1:
         raise ParameterError("evaluation split is empty")
     total_loss = 0.0
     hits = 0
     with numerics.no_grad():
-        for lo in range(0, task.eval_count, batch_size):
-            tokens = task.eval_tokens[lo : lo + batch_size]
-            targets = task.eval_targets[lo : lo + batch_size]
-            logits, _ = model.forward(tokens)
+        for lo in range(0, task.eval_count, _EVAL_BATCH):
+            tokens = task.eval_tokens[lo : lo + _EVAL_BATCH]
+            targets = task.eval_targets[lo : lo + _EVAL_BATCH]
+            logits = model.forward(tokens)
             total_loss += _loss(logits, targets, task.is_regression).item() * len(tokens)
             hits += _accuracy(logits.data, targets, task.is_regression)
     return {"loss": total_loss / task.eval_count, "accuracy": hits / task.eval_count}
@@ -349,7 +350,7 @@ def train(
     xbars = _views(ema, {name: (width,) for name, width in widths.items()})
     sumsq = _views(obs, {name: (width,) for name, width in widths.items()})
     rngs = {"data": Rng(cfg.seed).child("data"), "prune": Rng(cfg.seed).child("prune")}
-    adapter_params = trainable_param_count(model.plan, layer_shapes(model.dims, cfg.adapt_kinds))
+    adapter_params = trainable_param_count(adapter_layout(model.dims, model.plan, cfg.adapt_kinds))
     task_digest = numerics.fingerprint(
         [task.train_tokens, task.train_targets, task.eval_tokens, task.eval_targets]
     )
@@ -409,7 +410,7 @@ def train(
             idx = rngs["data"].integers(0, task.train_count, size=cfg.batch_size)
             tokens = task.train_tokens[idx]
             targets = task.train_targets[idx]
-            logits, _ = model.forward(tokens, norms, sumsq)
+            logits = model.forward(tokens, norms, sumsq)
             if xbars:
                 np.sqrt(obs, out=obs)
                 if not np.isfinite(obs).all():

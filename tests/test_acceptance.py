@@ -21,7 +21,7 @@ import pytest
 from prilora import adapter
 from prilora.cli import ABLATION_VARIANTS, main
 from prilora.config import build_plan, parse_config_text
-from prilora.model import ModelDims, layer_shapes
+from prilora.model import ModelDims, adapter_layout
 from prilora.numerics import Rng, Tensor, grad_check, softmax_cross_entropy
 from prilora.prune_engine import (
     PruneConfig,
@@ -76,7 +76,7 @@ def reference_run():
         model=model,
         record=record,
         hash_before=hash_before,
-        trainable=adapter.trainable_param_count(cfg.plan, layer_shapes(dims)),
+        trainable=adapter.trainable_param_count(adapter_layout(dims, cfg.plan)),
     )
 
 
@@ -85,10 +85,14 @@ def test_criterion_01_rank_budget_parity():
     preset = deberta_base_preset()
     assert preset.total == 96 == 12 * 8
 
-    shapes = layer_shapes(ModelDims(12, 768, 12, 3072, 128, 64, 2))
-    uniform = adapter.trainable_param_count(uniform_plan(12, 8), shapes)
-    assert adapter.trainable_param_count(linear_plan(12, 4, 12), shapes) == uniform
-    assert adapter.trainable_param_count(preset, shapes) == uniform
+    dims = ModelDims(12, 768, 12, 3072, 128, 64, 2)
+
+    def budget(plan):
+        return adapter.trainable_param_count(adapter_layout(dims, plan))
+
+    uniform = budget(uniform_plan(12, 8))
+    assert budget(linear_plan(12, 4, 12)) == uniform
+    assert budget(preset) == uniform
 
 
 def test_criterion_02_preset_rank_sequence():
@@ -223,7 +227,7 @@ def test_criterion_08_adapter_gradients_match_finite_differences():
     assert sum(p.data.size for p in params) == 3584
 
     def loss():
-        logits, _ = model.forward(tokens)
+        logits = model.forward(tokens)
         return softmax_cross_entropy(logits, labels)
 
     assert grad_check(loss, params, eps=1e-4) < 1e-5

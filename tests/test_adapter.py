@@ -12,7 +12,8 @@ from prilora.adapter import (
     nonzero_param_count,
     trainable_param_count,
 )
-from prilora.errors import ParameterError, RankError, ShapeError
+from prilora.errors import ConfigError, ParameterError, RankError, ShapeError
+from prilora.model import ModelDims, adapter_layout
 from prilora.numerics import Rng, Tensor, grad_check
 from prilora.prune_engine import build_mask, apply_mask
 from prilora.rank_plan import explicit_plan, linear_plan, uniform_plan
@@ -197,32 +198,39 @@ def test_merge_scale_is_applied():
 # Parameter accounting
 
 
+def dims_of(layers, d_model, d_ff):
+    return ModelDims(num_layers=layers, d_model=d_model, num_heads=2, d_ff=d_ff)
+
+
 def test_trainable_param_count_single_matrix():
-    plan = explicit_plan([2])
-    assert trainable_param_count(plan, [[(4, 6)]]) == 20
+    layout = adapter_layout(dims_of(1, 6, 4), explicit_plan([2]), ("w1",))
+    assert layout == {"blocks.0.w1": (4, 6, 2)}
+    assert trainable_param_count(layout) == 20
 
 
 def test_budget_parity_linear_vs_uniform():
-    shapes = [[(64, 64)] * 4 + [(128, 64), (64, 128)] for _ in range(12)]
-    linear = trainable_param_count(linear_plan(12, 4, 12), shapes)
-    uniform = trainable_param_count(uniform_plan(12, 8), shapes)
+    # per layer: four (64, 64) matrices, then (128, 64) and (64, 128)
+    dims = dims_of(12, 64, 128)
+    linear = trainable_param_count(adapter_layout(dims, linear_plan(12, 4, 12)))
+    uniform = trainable_param_count(adapter_layout(dims, uniform_plan(12, 8)))
     assert linear == uniform
 
 
 def test_trainable_param_count_rank_cap():
     plan = explicit_plan([0, 0, 24])
-    with pytest.raises(RankError):
-        trainable_param_count(plan, [[(8, 8)], [(8, 8)], [(8, 8)]])
+    with pytest.raises(RankError, match=r"exceeds min\(8, 8\)"):
+        adapter_layout(dims_of(3, 8, 8), plan, ("wq",))
 
 
 def test_trainable_param_count_layer_mismatch():
-    with pytest.raises(RankError):
-        trainable_param_count(uniform_plan(2, 2), [[(4, 4)]])
+    with pytest.raises(ConfigError):
+        adapter_layout(dims_of(1, 4, 4), uniform_plan(2, 2), ("wq",))
 
 
 def test_zero_rank_layers_cost_nothing():
-    plan = explicit_plan([0, 3])
-    assert trainable_param_count(plan, [[(8, 8)], [(8, 8)]]) == 3 * 16
+    layout = adapter_layout(dims_of(2, 8, 8), explicit_plan([0, 3]), ("wq",))
+    assert list(layout) == ["blocks.1.wq"]
+    assert trainable_param_count(layout) == 3 * 16
 
 
 def test_nonzero_param_count_fresh_and_pruned():

@@ -6,21 +6,30 @@ writes from that entry, so no install is needed. Runs are kept to ~30 steps
 on a small model so the whole module finishes in a few seconds.
 """
 
+import contextlib
+import io
 import json
 import os
 import platform
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prilora
 from prilora import cli
 from prilora.cli import ABLATION_VARIANTS, ablation_config, main
 from prilora.config import parse_config_text
 from prilora.errors import ConfigError
+from prilora.model import MATRIX_KINDS
+from prilora.numerics import read_tensor
+from prilora.prune_engine import STRATEGIES
 from prilora.train_harness import EvalPoint
 
 TINY = """\
@@ -95,6 +104,10 @@ UNBUILDABLE = {
     "rank_wider_than_d_model": (
         TINY.replace("plan.last_rank = 4", "plan.last_rank = 20"), "exceeds min(16, 16)"),
     "unknown_adapter_kind": (TINY + "adapter.kinds = wq,wz\n", "unknown matrix kind 'wz'"),
+    "duplicate_adapter_kind": (
+        TINY + "adapter.kinds = wq,wq\n", "adapter kinds must name at least one kind, each once"),
+    "empty_adapter_kinds": (
+        TINY + "adapter.kinds =\n", "adapter kinds must name at least one kind, each once"),
     "negative_adapter_std": (TINY + "adapter.std = -1\n", "adapter std must be positive"),
     # 4**4 = 256 distinct sequences cannot hold 300 + 10
     "task_space_too_small": (
@@ -131,6 +144,75 @@ def test_unbuildable_config_is_refused_before_any_write(tmp_path, capsys, comman
     assert main(argv) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def trained_entries(ckpt: Path) -> int:
+    """Entries of the adapter factors (param/*.A and param/*.B) a checkpoint holds."""
+    blob = ckpt.read_bytes()
+    (head_len,) = struct.unpack_from("<Q", blob, 8)
+    names = json.loads(blob[16 : 16 + head_len])["tensors"]
+    payload = io.BytesIO(blob[16 + head_len : -32])
+    tensors = {name: read_tensor(payload) for name in names}
+    return sum(t.data.size for name, t in tensors.items()
+               if name.startswith("param/") and name.endswith((".A", ".B")))
+
+
+# TINY cut to 2 steps, and one key at a time drawn from a bounded set: no
+# size above 64 and no layer count above 4, so every run stays small
+TWO_STEPS = TINY.replace("train.steps = 30", "train.steps = 2").replace(
+    "train.warmup_steps = 5", "train.warmup_steps = 1")
+SIZES = st.integers(-1, 64)
+ONE_KEY = {
+    "task.kind": st.sampled_from(["token_majority", "parity_markers", "linear_probe"]),
+    "task.vocab_size": SIZES,
+    "task.seq_len": SIZES,
+    "task.train_count": SIZES,
+    "task.eval_count": SIZES,
+    "model.layers": st.integers(-1, 4),
+    "model.d_model": SIZES,
+    "model.heads": SIZES,
+    "model.d_ff": SIZES,
+    "plan.kind": st.sampled_from(
+        ["linear", "uniform", "inverted", "concentrated", "preset", "explicit"]),
+    "plan.first_rank": SIZES,
+    "plan.last_rank": SIZES,
+    "prune.strategy": st.sampled_from(STRATEGIES),
+    "prune.ratio": st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5]),
+    "prune.interval": SIZES,
+    "train.lr": st.sampled_from([-1.0, 1e-3, 1.0, 1e20]),
+    "train.batch_size": SIZES,
+    "train.eval_interval": SIZES,
+    "train.warmup_steps": st.integers(-1, 3),
+    "adapter.kinds": st.lists(st.sampled_from(MATRIX_KINDS + ("wz",)), max_size=4).map(",".join),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(change=st.sampled_from(sorted(ONE_KEY)).flatmap(
+    lambda key: st.tuples(st.just(key), ONE_KEY[key])))
+def test_a_valid_config_runs_what_it_reports(change):
+    """validate-config refuses the config, or a run of it completes and its
+    adapter_params counts the factor entries it trained, or it diverges."""
+    key, value = change
+    lines = [line for line in TWO_STEPS.splitlines() if not line.startswith(f"{key} =")]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_cfg(Path(tmp) / "t.cfg", "\n".join(lines + [f"{key} = {value}"]) + "\n")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            checked = main(["validate-config", "--config", str(cfg)])
+            ran = main(["run", "--config", str(cfg), "--out", str(out)]) if checked == 0 else None
+        if checked != 0:
+            assert checked == 1 and "config error:" in err.getvalue(), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            return
+        run_dir = out / "tiny" / "seed_0"
+        run = json.loads((run_dir / "run.json").read_text())
+        if ran == 2:
+            assert run["status"] == "incomplete", err.getvalue()
+            return
+        assert ran == 0 and run["status"] == "complete", err.getvalue()
+        assert run["adapter_params"] == trained_entries(run_dir / "final.ckpt")
 
 
 def test_empty_name_is_refused_before_any_write(tmp_path, capsys):

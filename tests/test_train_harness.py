@@ -112,7 +112,9 @@ def test_golden_training_step_makes_25_tape_nodes():
                     seed=golden["seed"], batch_size=g["batch_size"])
     task = SyntheticTask(**golden["task"]).build()
     model = build_model(cfg, ModelDims(**golden["dims"]))
-    logits, _ = model.forward(task.train_tokens[: cfg.batch_size], "input")
+    widths = norm_widths(model.adapters, cfg.prune)
+    sumsq = {name: np.empty(width) for name, width in widths.items()}
+    logits = model.forward(task.train_tokens[: cfg.batch_size], "input", sumsq)
     loss = _loss(logits, task.train_targets[: cfg.batch_size], task.is_regression)
     nodes, seen, stack = 0, set(), [loss]
     while stack:
@@ -170,7 +172,7 @@ def test_gradients_flow_to_adapters_and_head_only(task):
     for pair in model.adapters.values():
         pair.B.data[...] = rng.child("b").normal(pair.B.shape, std=0.1)
 
-    logits, _ = model.forward(task.train_tokens[:8])
+    logits = model.forward(task.train_tokens[:8])
     loss = _loss(logits, task.train_targets[:8], task.is_regression)
     loss.backward()
 
@@ -198,7 +200,7 @@ def test_one_output_regression_head_gradients_match_finite_differences():
     tokens, targets = task.train_tokens[:4], task.train_targets[:4]
 
     def loss():
-        logits, _ = model.forward(tokens)
+        logits = model.forward(tokens)
         assert logits.shape == (4, 1)
         return _loss(logits, targets, True)
 
@@ -221,7 +223,7 @@ def test_backward_frees_the_step_as_it_goes():
     def forward():
         for p in params:
             p.grad = None
-        logits, _ = model.forward(tokens)
+        logits = model.forward(tokens)
         return _loss(logits, targets, False)
 
     forward().backward()  # anything made once per process is made here
@@ -263,7 +265,8 @@ def test_forward_collects_the_norms_the_strategy_tracks(task, strategy, monkeypa
         return real(layer, pair, x)
 
     monkeypatch.setattr(model_mod, "adapter_forward", recording)
-    _, sums = model.forward(task.train_tokens[:8], norms)
+    sums = {name: np.empty(width) for name, width in norm_widths(model.adapters, prune).items()}
+    model.forward(task.train_tokens[:8], norms, sums)
     if norms is None:
         assert sums == {}
         return
@@ -280,9 +283,10 @@ def test_forward_collects_the_norms_the_strategy_tracks(task, strategy, monkeypa
                 == sums["blocks.1.wv"].tobytes())
     # a caller's vectors are overwritten in place
     held = {name: np.full(vec.shape, np.nan) for name, vec in sums.items()}
-    _, again = model.forward(task.train_tokens[:8], norms, held)
-    assert again is held
+    vectors = dict(held)
+    model.forward(task.train_tokens[:8], norms, held)
     for name, vec in sums.items():
+        assert held[name] is vectors[name], name
         assert held[name].tobytes() == vec.tobytes(), name
 
 
