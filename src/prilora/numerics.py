@@ -21,11 +21,20 @@ layer norm and softmax sum their short rows as GEMVs against one cached ones
 vector per length (softmax takes its row max from a transposed copy, which
 is exact).
 
+The tape links gradient nodes, not tensors. A node keeps the gradient,
+``requires_grad``, the op's backward closure and its parents' nodes; the
+tensor keeps the data and its node. Each op's closure saves only what its
+backward reads: the arrays its gradient formula needs (relu a boolean mask,
+add and the shape moves nothing but shapes), so an activation no closure
+saved is freed as soon as the forward drops its last name. A first gradient
+that an op made fresh and C-ordered becomes the node's gradient as it is;
+any other is copied to C order.
+
 ``backward()`` uses up its graph: one backward per graph. As the reverse walk
 leaves an interior node it drops that node's gradient, its closure (and with
-it every array the op saved) and its parent links, so a step's activations
-are freed as they are used, not when the step ends. Leaves keep their
-gradients; a later backward that reaches a released node raises
+it every array the op saved) and its parent links, so a step's saved
+activations are freed as they are used, not when the step ends. Leaves keep
+their gradients; a later backward that reaches a released node raises
 ``ParameterError``.
 """
 
@@ -35,6 +44,7 @@ import functools
 import hashlib
 import io
 import math
+import operator
 import struct
 from contextlib import contextmanager
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
@@ -86,23 +96,53 @@ def _as_array(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-class Tensor:
-    """A float64 array plus the reverse-mode bookkeeping to reach it.
+class _Node:
+    """What backward() needs of one tensor: its gradient, whether it wants
+    one, the closure that routes that gradient to the parents, and the
+    parents' nodes. A node holds no array of the forward."""
 
-    Leaf tensors are created directly; interior nodes are created by the op
-    functions below, each of which records a backward closure that routes the
-    incoming gradient to its parents. ``backward()`` on a scalar replays the
-    closures in reverse topological order, releasing the graph as it goes.
+    __slots__ = ("grad", "requires_grad", "_backward", "_prev")
+
+    def __init__(self, requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self._backward: Callable[[np.ndarray], None] | None = None
+        self._prev: tuple[_Node, ...] = ()
+
+
+def _on_node(name: str, doc: str) -> property:
+    """A Tensor property that reads and writes its node's attribute name."""
+
+    def set_(t: "Tensor", value) -> None:
+        setattr(t._node, name, value)
+
+    return property(operator.attrgetter(f"_node.{name}"), set_, doc=doc)
+
+
+class Tensor:
+    """A float64 array and the node that carries it on the gradient tape.
+
+    Leaf tensors are created directly; interior ones by the op functions
+    below. Each op saves what its backward reads, and only that: arrays of
+    the forward where the gradient formula needs them, shapes otherwise. The
+    closure it records, and the parent links, live on the node, so the tape
+    keeps an interior tensor's data alive only where a closure saved it;
+    the rest is freed once the forward drops its last name. ``backward()``
+    on a scalar replays the closures in reverse topological order, releasing
+    the graph as it goes. ``grad`` and ``requires_grad`` are the node's.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data: np.ndarray = _as_array(data)
-        self.requires_grad: bool = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self._prev: tuple[Tensor, ...] = ()
+        self._node = _Node(bool(requires_grad))
+
+    grad = _on_node("grad", "The accumulated gradient; a leaf keeps it after backward().")
+    requires_grad = _on_node("requires_grad", "Whether backward() routes a gradient here.")
+    _backward = _on_node(
+        "_backward", "The backward closure of the op that made this tensor, if any; a timing "
+        "wrapper may rebind it.")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -131,11 +171,12 @@ class Tensor:
         gradient raises ``ParameterError``."""
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar output, got shape {self.shape}")
-        if not self.requires_grad:
+        root = self._node
+        if not root.requires_grad:
             raise ParameterError("backward() on a tensor outside any gradient graph")
-        topo: list[Tensor] = []
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -148,7 +189,7 @@ class Tensor:
             for parent in node._prev:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
             if node._backward is None:  # a leaf keeps its gradient
@@ -216,22 +257,28 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+def _make(data: np.ndarray, parents: tuple[_Node, ...], backward) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._prev = parents
-        out._backward = backward
+        node = out._node
+        node.requires_grad = True
+        node._prev = parents
+        node._backward = backward
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accum(node: _Node, g: np.ndarray, fresh: bool) -> None:
+    """Add g into node's gradient. A first gradient is adopted when the op
+    says g is fresh: a C-contiguous array that nothing else reads or writes.
+    Any other first gradient is copied to C order, since g's strides would
+    change how later products sum; so is a 0-d one, which a ufunc returns as
+    a numpy scalar."""
+    if not node.requires_grad:
         return
-    if t.grad is None:  # C order: g's strides would change how later products sum
-        t.grad = np.array(g, copy=True, order="C")
+    if node.grad is None:
+        node.grad = g if fresh and g.ndim else np.array(g, copy=True, order="C")
     else:
-        t.grad += g
+        node.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -250,14 +297,17 @@ def add(a, b) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: shapes do not broadcast: {a.shape} + {b.shape}") from None
+    (an, a_shape), (bn, b_shape) = (a._node, a.shape), (b._node, b.shape)
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+        if an.requires_grad:
+            _accum(an, _unbroadcast(g, a_shape), True)
+        if bn.requires_grad:
+            # g itself goes to one parent only: two would share one array
+            gb = _unbroadcast(g, b_shape)
+            _accum(bn, gb, gb is not g or not an.requires_grad)
 
-    return _make(data, (a, b), backward)
+    return _make(data, (an, bn), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -267,13 +317,15 @@ def mul(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"mul: shapes do not broadcast: {a.shape} * {b.shape}") from None
 
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+    ad, bd, an, bn = a.data, b.data, a._node, b._node
 
-    return _make(data, (a, b), backward)
+    def backward(g: np.ndarray) -> None:
+        if an.requires_grad:
+            _accum(an, _unbroadcast(g * bd, ad.shape), True)
+        if bn.requires_grad:
+            _accum(bn, _unbroadcast(g * ad, bd.shape), True)
+
+    return _make(data, (an, bn), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -288,13 +340,15 @@ def matmul(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: batch dimensions do not broadcast: {a.shape} @ {b.shape}") from None
 
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+    ad, bd, an, bn = a.data, b.data, a._node, b._node
 
-    return _make(data, (a, b), backward)
+    def backward(g: np.ndarray) -> None:
+        if an.requires_grad:
+            _accum(an, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape), True)
+        if bn.requires_grad:
+            _accum(bn, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape), True)
+
+    return _make(data, (an, bn), backward)
 
 
 def _scaled(a: np.ndarray, scale: float) -> np.ndarray:
@@ -327,31 +381,36 @@ def adapted_linear(x, W0: Tensor, A: Tensor, B: Tensor, scale: float) -> Tensor:
     x = _as_tensor(x)
     if x.ndim < 2:
         raise ShapeError(f"adapted_linear needs 2-D or higher input, got {x.shape}")
-    x2 = x.data.reshape(-1, x.data.shape[-1])
+    x_shape, xn, an, bn = x.shape, x._node, A._node, B._node
+    x2 = x.data.reshape(-1, x_shape[-1])
     data = x2 @ merged_weight(W0, A, B, scale).T
-    latent = x2 @ A.data.T if _grad_enabled and B.requires_grad else None
+    latent = x2 @ A.data.T if _grad_enabled and bn.requires_grad else None
+    d_out = data.shape[1]
 
     def backward(g: np.ndarray) -> None:
-        g = g.reshape(data.shape)
-        if x.requires_grad:
-            _accum(x, (g @ merged_weight(W0, A, B, scale)).reshape(x.data.shape))
-        if B.requires_grad:
-            _accum(B, _scaled((latent.T @ g).T, scale))
-        if A.requires_grad:
-            _accum(A, _scaled((g @ B.data).T @ x2, scale))
+        g = g.reshape(-1, d_out)
+        if xn.requires_grad:
+            _accum(xn, (g @ merged_weight(W0, A, B, scale)).reshape(x_shape), True)
+        if bn.requires_grad:
+            _accum(bn, _scaled((latent.T @ g).T, scale), False)
+        if an.requires_grad:
+            _accum(an, _scaled((g @ B.data).T @ x2, scale), True)
 
-    return _make(data.reshape(*x.data.shape[:-1], data.shape[-1]), (x, A, B), backward)
+    return _make(data.reshape(*x_shape[:-1], d_out), (xn, an, bn), backward)
 
 
 def relu(a) -> Tensor:
+    """max(a, 0); for backward it saves where a > 0, as booleans."""
     a = _as_tensor(a)
+    an = a._node
     data = np.maximum(a.data, 0.0)
+    mask = a.data > 0.0 if _grad_enabled and an.requires_grad else None
 
     def backward(g: np.ndarray) -> None:
-        # a float64 mask: same products as a boolean one, without the mixed-type loop
-        _accum(a, g * (a.data > 0.0).astype(np.float64))
+        # times the mask as float64: the same products, without the mixed-type loop
+        _accum(an, g * mask.astype(np.float64), True)
 
-    return _make(data, (a,), backward)
+    return _make(data, (an,), backward)
 
 
 def _reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -360,19 +419,22 @@ def _reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     except ValueError:
         raise ShapeError(f"cannot reshape {a.shape} into {shape}") from None
 
-    def backward(g: np.ndarray) -> None:
-        _accum(a, g.reshape(a.data.shape))
+    a_shape, an = a.shape, a._node
 
-    return _make(data, (a,), backward)
+    def backward(g: np.ndarray) -> None:
+        _accum(an, g.reshape(a_shape), True)  # a view of g, which only this walk holds
+
+    return _make(data, (an,), backward)
 
 
 def _swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     data = np.swapaxes(a.data, axis1, axis2)
+    an = a._node
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, np.swapaxes(g, axis1, axis2))
+        _accum(an, np.swapaxes(g, axis1, axis2), False)
 
-    return _make(data, (a,), backward)
+    return _make(data, (an,), backward)
 
 
 def _normalize_axes(axis, ndim: int) -> tuple[int, ...]:
@@ -385,18 +447,19 @@ def _reduce(a: Tensor, axis, keepdims: bool, mean: bool) -> Tensor:
         data = a.data.mean(axis=axis, keepdims=keepdims)
     else:
         data = a.data.sum(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else int(np.prod([a.data.shape[ax] for ax in _normalize_axes(axis, a.data.ndim)]))
+    a_shape, an = a.shape, a._node
+    count = a.data.size if axis is None else int(np.prod([a_shape[ax] for ax in _normalize_axes(axis, a.ndim)]))
 
     def backward(g: np.ndarray) -> None:
         grad = g
         if not keepdims and axis is not None:
-            axes = _normalize_axes(axis, a.data.ndim)
-            shape = tuple(1 if i in axes else s for i, s in enumerate(a.data.shape))
+            axes = _normalize_axes(axis, len(a_shape))
+            shape = tuple(1 if i in axes else s for i, s in enumerate(a_shape))
             grad = grad.reshape(shape)
-        grad = np.broadcast_to(grad, a.data.shape)
-        _accum(a, grad / count if mean else grad)  # _accum copies a first gradient
+        grad = np.broadcast_to(grad, a_shape)
+        _accum(an, grad / count if mean else grad, False)
 
-    return _make(data, (a,), backward)
+    return _make(data, (an,), backward)
 
 
 # Row reductions of a 2-D array. numpy reduces a short last axis several
@@ -445,11 +508,12 @@ def softmax(a) -> Tensor:
     """Softmax over the last axis."""
     a = _as_tensor(a)
     data = _softmax_forward(a.data)
+    an = a._node
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, _softmax_backward(g, data))
+        _accum(an, _softmax_backward(g, data), True)
 
-    return _make(data, (a,), backward)
+    return _make(data, (an,), backward)
 
 
 def attention(q, k, v, heads: int) -> Tensor:
@@ -475,20 +539,22 @@ def attention(q, k, v, heads: int) -> Tensor:
     def merge(gh: np.ndarray) -> np.ndarray:
         return np.swapaxes(gh, 1, 2).reshape(b, n, d)
 
+    qn, kn, vn = q._node, k._node, v._node
+
     def backward(g: np.ndarray) -> None:
         # C order, as _accum's first copy left the composition's swapped grad
         gc = np.array(np.swapaxes(g.reshape(split), 1, 2), order="C")
-        if q.requires_grad or k.requires_grad:
+        if qn.requires_grad or kn.requires_grad:
             gs = _softmax_backward(gc @ np.swapaxes(vh, -1, -2), p)
             gs *= scale
-            if q.requires_grad:
-                _accum(q, merge(gs @ kh))
-            if k.requires_grad:
-                _accum(k, merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)))
-        if v.requires_grad:
-            _accum(v, merge(np.swapaxes(p, -1, -2) @ gc))
+            if qn.requires_grad:
+                _accum(qn, merge(gs @ kh), True)
+            if kn.requires_grad:  # merge keeps this one a strided view
+                _accum(kn, merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)), False)
+        if vn.requires_grad:
+            _accum(vn, merge(np.swapaxes(p, -1, -2) @ gc), True)
 
-    return _make(data, (q, k, v), backward)
+    return _make(data, (qn, kn, vn), backward)
 
 
 _LAYERNORM_EPS = 1e-5  # the variance floor of layernorm and pooled_head
@@ -524,15 +590,16 @@ def layernorm(a, sumsq: np.ndarray | None = None) -> Tensor:
     of squares over every other axis, istd²ᵀ·(c∘c) from the centred input c
     the variance already squared; the squares are not kept for backward."""
     a = _as_tensor(a)
-    n = a.data.shape[-1]
+    a_shape, an = a.shape, a._node
+    n = a_shape[-1]
     xhat, istd, sq = _layernorm_rows(a.data.reshape(-1, n))
     if sumsq is not None:
         np.matmul(istd * istd, sq, out=sumsq)
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, _layernorm_rows_backward(g.reshape(-1, n), xhat, istd).reshape(a.data.shape))
+        _accum(an, _layernorm_rows_backward(g.reshape(-1, n), xhat, istd).reshape(a_shape), True)
 
-    return _make(xhat.reshape(a.data.shape), (a,), backward)
+    return _make(xhat.reshape(a_shape), (an,), backward)
 
 
 def pooled_head(x, W: Tensor, b: Tensor) -> Tensor:
@@ -544,20 +611,21 @@ def pooled_head(x, W: Tensor, b: Tensor) -> Tensor:
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
     if x.ndim != 3 or W.ndim != 2 or W.shape[1] != x.shape[-1] or b.shape != W.shape[:1]:
         raise ShapeError(f"pooled_head: x {x.shape}, W {W.shape} and b {b.shape} do not fit")
-    n = x.data.shape[1]
+    x_shape, xn, wn, bn = x.shape, x._node, W._node, b._node
+    n = x_shape[1]
     xhat, istd, _ = _layernorm_rows(x.data.mean(axis=1))
     data = xhat @ W.data.T + b.data
 
     def backward(g: np.ndarray) -> None:
-        if b.requires_grad:
-            _accum(b, g.sum(axis=0))
-        if W.requires_grad:
-            _accum(W, (xhat.T @ g).T)
-        if x.requires_grad:
+        if bn.requires_grad:
+            _accum(bn, g.sum(axis=0), True)
+        if wn.requires_grad:
+            _accum(wn, (xhat.T @ g).T, False)
+        if xn.requires_grad:
             g_pool = _layernorm_rows_backward(g @ W.data, xhat, istd)
-            _accum(x, np.broadcast_to((g_pool / n)[:, None, :], x.data.shape))
+            _accum(xn, np.broadcast_to((g_pool / n)[:, None, :], x_shape), False)
 
-    return _make(data, (x, W, b), backward)
+    return _make(data, (xn, wn, bn), backward)
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:
@@ -580,13 +648,14 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     rows = np.arange(m)
     data = np.asarray(-logp[rows, labels].mean())
+    ln = logits._node
 
     def backward(g: np.ndarray) -> None:
         p = np.exp(logp)
         p[rows, labels] -= 1.0
-        _accum(logits, float(g) * p / m)
+        _accum(ln, float(g) * p / m, True)
 
-    return _make(data, (logits,), backward)
+    return _make(data, (ln,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -333,12 +333,20 @@ def train(
     resume_from checkpoint saved under any other TrainConfig, ModelDims or
     task data, or corrupted, raises FormatError. On a non-finite loss the loop
     aborts with the last evaluated state attached, so callers can inspect or
-    restart from it.
+    restart from it. A model whose adapters are not the ones cfg.adapt_kinds
+    lays out over its dims and plan raises ConfigError: adapter_params counts
+    that layout.
     """
     if task.num_outputs != model.dims.num_outputs:
         raise ConfigError(
             f"task needs {task.num_outputs} outputs but the model head has "
             f"{model.dims.num_outputs}"
+        )
+    layout = adapter_layout(model.dims, model.plan, cfg.adapt_kinds)
+    if layout != {name: (pair.d1, pair.d2, pair.rank) for name, pair in model.adapters.items()}:
+        raise ConfigError(
+            f"the model's adapters {sorted(model.adapters)} are not the ones its plan and "
+            f"adapt_kinds {cfg.adapt_kinds} lay out, so adapter_params would misreport them"
         )
     params = model.trainable()
     optimizer = make_optimizer(cfg.optimizer, params)
@@ -350,7 +358,7 @@ def train(
     xbars = _views(ema, {name: (width,) for name, width in widths.items()})
     sumsq = _views(obs, {name: (width,) for name, width in widths.items()})
     rngs = {"data": Rng(cfg.seed).child("data"), "prune": Rng(cfg.seed).child("prune")}
-    adapter_params = trainable_param_count(adapter_layout(model.dims, model.plan, cfg.adapt_kinds))
+    adapter_params = trainable_param_count(layout)
     task_digest = numerics.fingerprint(
         [task.train_tokens, task.train_targets, task.eval_tokens, task.eval_targets]
     )

@@ -116,8 +116,8 @@ def test_forward_is_one_tape_node_over_x_a_and_b():
     pair = randomized_pair(5, 8, 3)
     x = Tensor(Rng(5).normal((2, 4, 8)), requires_grad=True)
     out = forward(layer, pair, x)
-    assert len(out._prev) == 3
-    assert all(got is want for got, want in zip(out._prev, (x, pair.A, pair.B)))
+    assert len(out._node._prev) == 3
+    assert all(got is want._node for got, want in zip(out._node._prev, (x, pair.A, pair.B)))
 
 
 def test_gradients_flow_to_adapter_only():

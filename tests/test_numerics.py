@@ -2,6 +2,7 @@
 
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -169,7 +170,8 @@ def test_no_gradient_is_routed_to_a_frozen_parent(monkeypatch):
     # none, rather than computing it for _accum to drop
     routed = []
     accum = numerics._accum
-    monkeypatch.setattr(numerics, "_accum", lambda t, g: (routed.append(t), accum(t, g)))
+    monkeypatch.setattr(numerics, "_accum",
+                        lambda t, g, fresh: (routed.append(t), accum(t, g, fresh)))
     w = Tensor(rand((4, 3), 30), requires_grad=True)
     x = Tensor(rand((2, 5, 4), 31))
     m = Tensor(rand((3, 3), 32))
@@ -180,7 +182,7 @@ def test_no_gradient_is_routed_to_a_frozen_parent(monkeypatch):
     out = 0.5 * numerics.add(c, numerics.mul(h, c)) + c
     out.sum().backward()
     assert routed and all(t.requires_grad for t in routed)
-    assert any(t is w for t in routed)
+    assert any(t is w._node for t in routed)
 
 
 def formula_adapter(x, W0, A, B, scale):
@@ -192,11 +194,12 @@ def formula_adapter(x, W0, A, B, scale):
 
     def backward(g):
         g = g.reshape(-1, W.shape[0])
-        numerics._accum(x, (g @ W).reshape(x.shape))
-        numerics._accum(B, scale * ((x2 @ A.data.T).T @ g).T)
-        numerics._accum(A, scale * ((g @ B.data).T @ x2))
+        numerics._accum(x._node, (g @ W).reshape(x.shape), False)
+        numerics._accum(B._node, scale * ((x2 @ A.data.T).T @ g).T, False)
+        numerics._accum(A._node, scale * ((g @ B.data).T @ x2), False)
 
-    return numerics._make((x2 @ W.T).reshape(*x.shape[:-1], W.shape[0]), (x, A, B), backward)
+    nodes = (x._node, A._node, B._node)
+    return numerics._make((x2 @ W.T).reshape(*x.shape[:-1], W.shape[0]), nodes, backward)
 
 
 def composed_attention(q, k, v, heads):
@@ -415,8 +418,8 @@ def test_backward_outside_graph_rejected():
 
 
 def graph_nodes(out):
-    """Every tensor reachable from out through parent links, out included."""
-    nodes, stack = {}, [out]
+    """Every tape node reachable from out's through parent links, out's included."""
+    nodes, stack = {}, [out._node]
     while stack:
         t = stack.pop()
         if id(t) not in nodes:
@@ -453,6 +456,72 @@ def test_a_released_graph_refuses_another_backward():
     with pytest.raises(ParameterError, match="graph already released"):
         (h * 3.0).sum().backward()
     assert np.array_equal(a.grad, first)
+
+
+def test_an_output_no_closure_saves_dies_with_its_last_name():
+    # the add's output feeds only a layernorm, which keeps its own xhat and
+    # istd: once the caller drops it, nothing holds its data
+    grads = []
+    for hold in (False, True):
+        w = Tensor(rand((4, 8), 60), requires_grad=True)
+        h = numerics.add(Tensor(rand((4, 8), 61)), w)
+        data = weakref.ref(h.data)
+        loss = (numerics.layernorm(h) * Tensor(rand((4, 8), 62))).sum()
+        if not hold:
+            del h
+            assert data() is None
+        loss.backward()
+        grads.append(w.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_an_output_a_closure_saves_lives_until_backward():
+    # attention keeps q's heads, views of q's data, for k's gradient
+    grads = []
+    for hold in (False, True):
+        w = Tensor(rand((2, 3, 4), 63), requires_grad=True)
+        q, k, v = (numerics.add(Tensor(rand((2, 3, 4), seed)), w) for seed in (64, 65, 66))
+        data = weakref.ref(q.data)
+        loss = (numerics.attention(q, k, v, 2) * Tensor(rand((2, 3, 4), 67))).sum()
+        if not hold:
+            del q
+            assert data() is not None
+        loss.backward()
+        assert (data() is None) != hold
+        grads.append(w.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_a_strided_first_gradient_is_copied_to_c_order():
+    # dB and the head's dW are transposed products; each leaf keeps a C-order
+    # copy, which owns its memory, and dA and db are C-order products already
+    x = Tensor(rand((2, 3, 8), 70))
+    A = Tensor(rand((2, 8), 71), requires_grad=True)
+    B = Tensor(rand((5, 2), 72), requires_grad=True)
+    W = Tensor(rand((3, 5), 73), requires_grad=True)
+    b = Tensor(rand((3,), 74), requires_grad=True)
+    h = numerics.adapted_linear(x, Tensor(rand((5, 8), 75)), A, B, 0.5)
+    (numerics.pooled_head(h, W, b) * Tensor(rand((2, 3), 76))).sum().backward()
+    for t in (A, B, W, b):
+        assert t.grad.flags.c_contiguous and t.grad.base is None
+
+
+def test_relu_gradient_is_g_times_the_input_mask():
+    # the same products as a float mask of the input, signed zeros included
+    x = Tensor(rand((4, 6), 80), requires_grad=True)
+    x.data[0, :3] = 0.0  # ties take no gradient
+    g = rand((4, 6), 81)
+    (numerics.relu(x) * Tensor(g)).sum().backward()
+    assert x.grad.tobytes() == (g * (x.data > 0.0).astype(np.float64)).tobytes()
+
+
+def test_add_gives_its_two_parents_separate_gradients():
+    a, b = (Tensor(rand((3, 4), seed), requires_grad=True) for seed in (77, 78))
+    (numerics.add(a, b) * Tensor(rand((3, 4), 79))).sum().backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    kept = b.grad.copy()
+    a.grad += 1.0
+    assert np.array_equal(b.grad, kept)
 
 
 def test_no_grad_blocks_graph_construction():

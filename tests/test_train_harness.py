@@ -13,6 +13,7 @@ import pytest
 
 from prilora import model as model_mod
 from prilora import prune_engine
+from prilora.adapter import init_adapter
 from prilora.checkpoint import capture_state
 from prilora.errors import ConfigError, FormatError, ParameterError, ShapeError, TrainingDiverged
 from prilora.model import MATRIX_KINDS, ModelDims, ToyModel
@@ -116,7 +117,7 @@ def test_golden_training_step_makes_25_tape_nodes():
     sumsq = {name: np.empty(width) for name, width in widths.items()}
     logits = model.forward(task.train_tokens[: cfg.batch_size], "input", sumsq)
     loss = _loss(logits, task.train_targets[: cfg.batch_size], task.is_regression)
-    nodes, seen, stack = 0, set(), [loss]
+    nodes, seen, stack = 0, set(), [loss._node]
     while stack:
         t = stack.pop()
         if id(t) not in seen:
@@ -208,11 +209,9 @@ def test_one_output_regression_head_gradients_match_finite_differences():
     assert grad_check(loss, [model.head_w, model.head_b, pair.A, pair.B], eps=1e-4) < 1e-5
 
 
-@pytest.mark.memory
-def test_backward_frees_the_step_as_it_goes():
-    # one step at the benchmark's wide shape, traced: backward releases each
-    # node's saved arrays once used, so its peak stays near what forward
-    # left, and all that outlives it is the leaves' gradients (0.55 MB here)
+def wide_step():
+    """The benchmark's wide shape on one batch: the model, and a function
+    that clears its leaf gradients and returns the step's loss."""
     dims = ModelDims(num_layers=4, d_model=128, num_heads=4, d_ff=256,
                      vocab_size=32, seq_len=32, num_outputs=2)
     model = ToyModel.build(dims, linear_plan(4, 4, 16), Rng(17))
@@ -226,6 +225,16 @@ def test_backward_frees_the_step_as_it_goes():
         logits = model.forward(tokens)
         return _loss(logits, targets, False)
 
+    return model, forward
+
+
+@pytest.mark.memory
+def test_backward_frees_the_step_as_it_goes():
+    # one step at the benchmark's wide shape, traced: the tape keeps only
+    # what backward reads, backward releases each node's saved arrays once
+    # used, so its peak stays near what forward left, and all that outlives
+    # it is the leaves' gradients (0.55 MB here)
+    _, forward = wide_step()
     forward().backward()  # anything made once per process is made here
     tracemalloc.start()
     try:
@@ -239,9 +248,18 @@ def test_backward_frees_the_step_as_it_goes():
         tracemalloc.stop()
     held_mb, peak_mb = (after - before) / 2**20, (peak - before) / 2**20
     assert held_mb < 1.0, f"{held_mb:.2f} MB held after backward"
-    # 63.0 MB after forward, a 68.2 MB peak in backward (holding the whole
-    # graph to the end peaked at 121.7 MB)
+    # 39.0 MB after forward and a 43.2 MB peak in backward; a tape that held
+    # every activation left 63.0 MB and peaked at 68.0 MB, and holding the
+    # whole graph to the end peaked at 121.7 MB
+    assert forward_mb < 45.0, f"{forward_mb:.1f} MB left by forward"
     assert peak_mb < 1.15 * forward_mb, f"peak {peak_mb:.1f} MB after a {forward_mb:.1f} MB forward"
+
+
+def test_leaf_gradients_of_a_wide_step_are_c_order():
+    model, forward = wide_step()
+    forward().backward()
+    for name, p in model.trainable().items():
+        assert p.grad.flags.c_contiguous, name
 
 
 NORM_SOURCE = {"prilora_A": "input", "random_A_cols": None, "B_rows": "latent",
@@ -443,6 +461,20 @@ def test_task_output_width_must_match_head():
     model = build_model(cfg, DIMS)
     with pytest.raises(ConfigError):
         train(model, probe, cfg)
+
+
+@pytest.mark.parametrize("change", ["kinds", "rank"])
+def test_train_refuses_adapters_its_config_does_not_lay_out(task, change):
+    # adapter_params counts the layout cfg gives: on wq alone under the
+    # default kinds it would report 1344 entries for the 192 it trains
+    cfg = small_cfg(steps=2)
+    if change == "kinds":
+        model = build_model(dataclasses.replace(cfg, adapt_kinds=("wq",)), DIMS)
+    else:
+        model = build_model(cfg, DIMS)
+        model.adapters["blocks.0.wq"] = init_adapter(16, 16, 3, Rng(1), frozen_ref="blocks.0.wq")
+    with pytest.raises(ConfigError, match="adapter_params"):
+        train(model, task, cfg)
 
 
 # -- the loop ------------------------------------------------------------------
