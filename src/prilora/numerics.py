@@ -72,7 +72,6 @@ __all__ = [
     "grad_check",
     "tensor_to_bytes",
     "tensor_from_bytes",
-    "write_tensor",
     "read_tensor",
     "fingerprint",
 ]
@@ -805,10 +804,6 @@ def tensor_from_bytes(buf: bytes | memoryview) -> Tensor:
     if extra:
         raise ShapeError(f"trailing bytes after tensor payload: {extra}")
     return t
-
-
-def write_tensor(fp: BinaryIO, t: Tensor | np.ndarray) -> None:
-    fp.write(tensor_to_bytes(t))
 
 
 def read_tensor(fp: BinaryIO) -> Tensor:

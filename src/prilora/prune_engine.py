@@ -8,12 +8,15 @@ engine scores each entry of the A factor as |A_ij| times the tracked norm of
 column j, then zeroes the lowest-scoring n entries of every row, where n is
 set by the prune ratio. Zeroed entries stay trainable: gradients and
 optimizer state are untouched, so a weight that matters later can grow back.
+A mask is a plain uint8 array of the pruned factor's shape, 1 = pruned.
 
 The ablation strategies (random column choice, pruning B by rows or by
-columns) live here too, sharing the same mask machinery, and so does what a
-strategy decides: ``tracked_norms`` names the norms a run must track for it,
-``norm_widths`` their width in each layer, and ``prune_event`` prunes every
-adapter under it and returns one event record per adapter.
+columns) live here too, sharing the same mask machinery. One table,
+``_TARGETS``, says what each strategy prunes and scores with, and every
+strategy decision reads it: ``tracked_norms`` names the norms a run must
+track, ``norm_widths`` their width in each layer, and ``ablation_prune`` and
+``prune_event`` the factor they prune; ``prune_event`` prunes every adapter
+under the strategy and returns one event record per adapter.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .errors import ConfigError, NumericError, ParameterError, ShapeError
 from .numerics import Rng, Tensor, ones
 
 __all__ = [
-    "PruneMask",
     "PruneConfig",
     "STRATEGIES",
     "batch_sum_squares",
@@ -47,8 +49,14 @@ __all__ = [
 
 STRATEGIES = ("prilora_A", "random_A_cols", "B_rows", "B_cols", "none")
 
-# the norms each importance-scored strategy ranks its pruned factor's entries by
-_NORM_SOURCE = {"prilora_A": "input", "B_rows": "latent", "B_cols": "latent"}
+# {strategy: (the factor its events prune, the norms they score its entries
+# with, None for a random choice)}; "none" prunes nothing
+_TARGETS = {
+    "prilora_A": ("A", "input"),
+    "random_A_cols": ("A", None),
+    "B_rows": ("B", "latent"),
+    "B_cols": ("B", "latent"),
+}
 
 
 def _as_matrix(value) -> np.ndarray:
@@ -56,45 +64,6 @@ def _as_matrix(value) -> np.ndarray:
     if arr.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class PruneMask:
-    """Which entries the last event zeroed: 1 = pruned.
-
-    Standard masks zero the same count in every row; the column-wise
-    ablation zeroes the same count in every column instead. One of the two
-    must hold.
-    """
-
-    M: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.M)
-        if arr.ndim != 2:
-            raise ShapeError(f"mask must be a matrix, got shape {arr.shape}")
-        if not ((arr == 0) | (arr == 1)).all():
-            raise ParameterError("mask entries must be 0 or 1")
-        arr = arr.astype(np.uint8)
-        row_counts = arr.sum(axis=1)
-        col_counts = arr.sum(axis=0)
-        rows_uniform = arr.shape[0] == 0 or (row_counts == row_counts[0]).all()
-        cols_uniform = arr.shape[1] == 0 or (col_counts == col_counts[0]).all()
-        if not (rows_uniform or cols_uniform):
-            raise ParameterError("mask must zero a uniform count per row or per column")
-        object.__setattr__(self, "M", arr)
-
-    @classmethod
-    def _unchecked(cls, M: np.ndarray) -> "PruneMask":
-        """Wrap a uint8 0/1 mask its maker built uniform per row, without
-        __post_init__'s checks, which cost more than building it."""
-        mask = object.__new__(cls)
-        object.__setattr__(mask, "M", M)
-        return mask
-
-    @property
-    def zeros_written(self) -> int:
-        return int(self.M.sum())
 
 
 @dataclass(frozen=True)
@@ -164,8 +133,9 @@ def importance(A, xbar: np.ndarray) -> np.ndarray:
     return np.abs(mat) * xbar[None, :]
 
 
-def build_mask(S, prune_ratio: float) -> PruneMask:
-    """Mark the n lowest-scoring entries of each row, n = floor(ratio * width).
+def build_mask(S, prune_ratio: float) -> np.ndarray:
+    """Mark the n lowest-scoring entries of each row, n = floor(ratio * width),
+    in a uint8 array of S's shape: 1 = pruned.
 
     Ties resolve toward the lower column index, so masks are deterministic
     functions of the scores alone.
@@ -181,15 +151,15 @@ def build_mask(S, prune_ratio: float) -> PruneMask:
         flat = np.argsort(scores, axis=1, kind="stable")[:, :n]
         flat += np.arange(0, rows * width, width)[:, None]  # row offsets into mask
         mask[flat] = 1
-    return PruneMask._unchecked(mask.reshape(rows, width))
+    return mask.reshape(rows, width)
 
 
-def apply_mask(A, mask: PruneMask) -> np.ndarray:
-    """Zero the marked entries; everything else passes through unchanged."""
+def apply_mask(A, mask: np.ndarray) -> np.ndarray:
+    """Zero the entries the mask marks 1; everything else passes through unchanged."""
     mat = _as_matrix(A)
-    if mask.M.shape != mat.shape:
-        raise ShapeError(f"mask shape {mask.M.shape} does not match matrix {mat.shape}")
-    return np.where(mask.M == 1, 0.0, mat)
+    if mask.shape != mat.shape:
+        raise ShapeError(f"mask shape {mask.shape} does not match matrix {mat.shape}")
+    return np.where(mask == 1, 0.0, mat)
 
 
 def _inactive(cfg: PruneConfig) -> bool:
@@ -209,25 +179,25 @@ def tracked_norms(cfg: PruneConfig) -> str | None:
     B_rows and B_cols), or None when no event reads one."""
     if _inactive(cfg):
         return None
-    return _NORM_SOURCE.get(cfg.strategy)
+    return _TARGETS[cfg.strategy][1]
 
 
 def norm_widths(adapters: Mapping[str, AdapterPair], cfg: PruneConfig) -> dict[str, int]:
-    """{layer name: width} of the norms a run under cfg tracks (tracked_norms):
-    each layer's input width d2 for input norms, its rank for latent norms;
-    {} when no event reads one."""
-    norms = tracked_norms(cfg)
-    if norms is None:
+    """{layer name: width} of the norms a run under cfg tracks (tracked_norms),
+    {} when no event reads one. An entry F_ij scores |F_ij| * xbar_j, so the
+    width is the pruned factor's column count: d2 for A, the rank for B."""
+    if tracked_norms(cfg) is None:
         return {}
-    return {name: pair.d2 if norms == "input" else pair.rank for name, pair in adapters.items()}
+    factor = _TARGETS[cfg.strategy][0]
+    return {name: getattr(pair, factor).data.shape[1] for name, pair in adapters.items()}
 
 
 def ablation_prune(
     adapter: AdapterPair,
-    xbar_for_target: np.ndarray,
+    xbar_for_target: np.ndarray | None,
     cfg: PruneConfig,
     rng: Rng | None = None,
-) -> PruneMask:
+) -> np.ndarray:
     """Run one of the control strategies in place of the standard A pruning.
 
     random_A_cols ignores importance and zeroes uniformly chosen columns per
@@ -236,28 +206,27 @@ def ablation_prune(
     entries. The adapter's target factor is modified in place; the returned
     mask records exactly what was zeroed.
     """
-    if cfg.strategy == "random_A_cols":
-        if rng is None:
-            raise ParameterError("random_A_cols pruning needs a random stream")
-        r, d2 = adapter.A.data.shape
-        n = math.floor(cfg.prune_ratio * d2)
-        mask = np.zeros((r, d2), dtype=np.uint8)
-        for i in range(r):
-            mask[i, rng.permutation(d2)[:n]] = 1
-        target, pm = adapter.A, PruneMask(mask)
-    elif cfg.strategy in ("B_rows", "B_cols"):
-        target, S = adapter.B, importance(adapter.B.data, xbar_for_target)
-        if cfg.strategy == "B_rows":
-            pm = build_mask(S, cfg.prune_ratio)
-        else:
-            pm = PruneMask(build_mask(S.T, cfg.prune_ratio).M.T)
-    else:
+    if cfg.strategy == "prilora_A" or cfg.strategy not in _TARGETS:
         raise ConfigError(
             f"strategy {cfg.strategy!r} is not an ablation pruner; "
             "expected random_A_cols, B_rows, or B_cols"
         )
-    target.data[...] = apply_mask(target.data, pm)
-    return pm
+    factor, norms = _TARGETS[cfg.strategy]
+    target = getattr(adapter, factor).data
+    if norms is None:
+        if rng is None:
+            raise ParameterError("random_A_cols pruning needs a random stream")
+        rows, width = target.shape
+        n = math.floor(cfg.prune_ratio * width)
+        mask = np.zeros(target.shape, dtype=np.uint8)
+        for i in range(rows):
+            mask[i, rng.permutation(width)[:n]] = 1
+    elif cfg.strategy == "B_cols":
+        mask = build_mask(importance(target, xbar_for_target).T, cfg.prune_ratio).T
+    else:
+        mask = build_mask(importance(target, xbar_for_target), cfg.prune_ratio)
+    target[...] = apply_mask(target, mask)
+    return mask
 
 
 def prune_event(
@@ -270,27 +239,26 @@ def prune_event(
     """Prune every adapter once under cfg.strategy; one event record each.
 
     xbars holds each layer's EMA of the norms its strategy scores with (see
-    tracked_norms); random_A_cols draws from rng instead. Each record also
-    counts, right after its mask lands, the adapter's live A and B entries
-    (nonzero) and the fewest exact zeros in any row of the pruned factor
-    (min_row_zeros).
+    tracked_norms); random_A_cols draws from rng instead. Each record counts
+    the entries its mask zeroed (zeros_written) and, right after the mask
+    lands, the adapter's live A and B entries (nonzero) and the fewest exact
+    zeros in any row of the pruned factor (min_row_zeros).
     """
     events: list[dict] = []
     for name, pair in adapters.items():
-        xbar = xbars[name] if cfg.strategy in _NORM_SOURCE else None
         if cfg.strategy == "prilora_A":
-            mask = build_mask(importance(pair.A.data, xbar), cfg.prune_ratio)
+            mask = build_mask(importance(pair.A.data, xbars.get(name)), cfg.prune_ratio)
             pair.A.data[...] = apply_mask(pair.A.data, mask)
         else:
-            mask = ablation_prune(pair, xbar, cfg, rng)
-        pruned = pair.B.data if cfg.strategy in ("B_rows", "B_cols") else pair.A.data
+            mask = ablation_prune(pair, xbars.get(name), cfg, rng)
+        pruned = getattr(pair, _TARGETS[cfg.strategy][0]).data
         events.append(
             {
                 "step": step,
                 "layer": name,
                 "strategy": cfg.strategy,
                 "ratio": cfg.prune_ratio,
-                "zeros_written": mask.zeros_written,
+                "zeros_written": int(mask.sum()),
                 "min_row_zeros": int((pruned == 0).sum(axis=1).min()),
                 "nonzero": nonzero_param_count([pair]),
             }

@@ -453,7 +453,9 @@ def train(
         if metrics_fp is not None:
             metrics_fp.close()
 
-    final_blob = snapshot(cfg.steps)
+    # the last step always evaluates, so last_good already holds step cfg.steps
+    # unless no step ran: a resume at cfg.steps
+    final_blob = last_good if last_good is not None else snapshot(cfg.steps)
     if best_blob is None:
         best_blob = final_blob
         best_step = cfg.steps

@@ -127,7 +127,7 @@ def test_criterion_04_importance_and_mask_hand_cases():
     assert np.array_equal(scores, [[2.0, 2.0], [1.0, 0.0]])
 
     mask = build_mask(np.array([[0.9, 0.1, 0.5, 0.3]]), 0.5)
-    assert mask.M.tolist() == [[0, 1, 0, 1]]
+    assert mask.tolist() == [[0, 1, 0, 1]]
 
     # the mask only depends on within-row score order, so scaling the whole
     # input average by any positive constant must not move a single zero
@@ -138,7 +138,7 @@ def test_criterion_04_importance_and_mask_hand_cases():
         c = float(rng.child(f"c{i}").uniform(1e-3, 1e3))
         base = build_mask(importance(A, xbar), 0.5)
         scaled = build_mask(importance(A, c * xbar), 0.5)
-        assert np.array_equal(base.M, scaled.M), f"instance {i}, factor {c}"
+        assert np.array_equal(base, scaled), f"instance {i}, factor {c}"
 
 
 def test_criterion_05_sparsity_after_every_prune_event(reference_run):
@@ -179,7 +179,7 @@ def test_criterion_06_pruned_weights_regrow():
     loss = (adapter.forward(layer, pair, x) * mix).sum()
     loss.backward()
 
-    pruned = [(i, j) for i, j in np.argwhere(mask.M == 1)]
+    pruned = [(i, j) for i, j in np.argwhere(mask == 1)]
     live = [(i, j) for i, j in pruned if pair.A.grad[i, j] != 0.0]
     assert live, "constructed loss must reach the masked coordinates"
     assert all(pair.A.data[i, j] == 0.0 for i, j in pruned)

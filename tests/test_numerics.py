@@ -20,7 +20,6 @@ from prilora.numerics import (
     read_tensor,
     tensor_from_bytes,
     tensor_to_bytes,
-    write_tensor,
 )
 
 
@@ -651,7 +650,7 @@ def test_stream_read_write_multiple():
     arrays = [rand((2, 2), 1), rand((5,), 2), rand((1, 3, 2), 3)]
     buf = io.BytesIO()
     for arr in arrays:
-        write_tensor(buf, Tensor(arr))
+        buf.write(tensor_to_bytes(Tensor(arr)))
     buf.seek(0)
     for arr in arrays:
         assert np.array_equal(read_tensor(buf).data, arr)

@@ -10,13 +10,13 @@ from prilora.errors import ConfigError, NumericError, ParameterError, ShapeError
 from prilora.numerics import Rng
 from prilora.prune_engine import (
     PruneConfig,
-    PruneMask,
     ablation_prune,
     apply_mask,
     batch_input_norm,
     build_mask,
     ema_update,
     importance,
+    prune_event,
     should_prune,
 )
 
@@ -130,21 +130,21 @@ def test_importance_shape_validation():
 
 def test_build_mask_hand_case():
     mask = build_mask(np.array([[0.9, 0.1, 0.5, 0.3]]), 0.5)
-    assert np.array_equal(mask.M, np.array([[0, 1, 0, 1]], dtype=np.uint8))
-    assert np.array_equal(mask.M.sum(axis=1), [2])
+    assert np.array_equal(mask, np.array([[0, 1, 0, 1]], dtype=np.uint8))
+    assert np.array_equal(mask.sum(axis=1), [2])
 
 
 def test_build_mask_extreme_ratios():
     S = np.abs(Rng(8).normal((3, 6))) + 0.1
-    assert build_mask(S, 0.0).M.sum() == 0
-    assert build_mask(S, 1.0).M.sum() == 18
+    assert build_mask(S, 0.0).sum() == 0
+    assert build_mask(S, 1.0).sum() == 18
 
 
 def test_build_mask_tie_breaks_toward_lower_column():
     mask = build_mask(np.array([[0.5, 0.2, 0.2, 0.9]]), 0.25)
-    assert np.array_equal(mask.M, np.array([[0, 1, 0, 0]], dtype=np.uint8))
+    assert np.array_equal(mask, np.array([[0, 1, 0, 0]], dtype=np.uint8))
     flat = build_mask(np.ones((2, 4)), 0.5)
-    assert np.array_equal(flat.M, np.array([[1, 1, 0, 0], [1, 1, 0, 0]], dtype=np.uint8))
+    assert np.array_equal(flat, np.array([[1, 1, 0, 0], [1, 1, 0, 0]], dtype=np.uint8))
 
 
 def test_build_mask_invariant_under_positive_scaling():
@@ -152,7 +152,7 @@ def test_build_mask_invariant_under_positive_scaling():
     for _ in range(100):
         S = np.abs(rng.normal((4, 10)))
         c = float(rng.uniform(1e-6, 1e6))
-        assert np.array_equal(build_mask(S, 0.5).M, build_mask(c * S, 0.5).M)
+        assert np.array_equal(build_mask(S, 0.5), build_mask(c * S, 0.5))
 
 
 @settings(max_examples=200, deadline=None)
@@ -169,10 +169,9 @@ def test_build_mask_matches_the_sort_oracle_and_passes_the_mask_checks(rows, wid
     oracle = np.zeros((rows, width), dtype=np.uint8)
     np.put_along_axis(oracle, np.argsort(S, axis=1, kind="stable")[:, :n], 1, axis=1)
     mask = build_mask(S, ratio)
-    assert mask.M.dtype == np.uint8 and mask.M.flags.c_contiguous
-    assert mask.M.tobytes() == oracle.tobytes() and mask.M.shape == oracle.shape
-    assert PruneMask(mask.M).M.tobytes() == mask.M.tobytes()
-    assert mask.zeros_written == rows * n
+    assert mask.dtype == np.uint8 and mask.flags.c_contiguous
+    assert mask.tobytes() == oracle.tobytes() and mask.shape == oracle.shape
+    assert int(mask.sum()) == rows * n
 
 
 def test_build_mask_ratio_validation():
@@ -182,24 +181,12 @@ def test_build_mask_ratio_validation():
 
 def test_apply_mask_identity_and_total():
     A = Rng(10).normal((3, 5))
-    untouched = apply_mask(A, PruneMask(np.zeros((3, 5), dtype=np.uint8)))
+    untouched = apply_mask(A, np.zeros((3, 5), dtype=np.uint8))
     assert np.array_equal(untouched, A)
-    wiped = apply_mask(A, PruneMask(np.ones((3, 5), dtype=np.uint8)))
+    wiped = apply_mask(A, np.ones((3, 5), dtype=np.uint8))
     assert np.array_equal(wiped, np.zeros((3, 5)))
     with pytest.raises(ShapeError):
-        apply_mask(A, PruneMask(np.zeros((2, 5), dtype=np.uint8)))
-
-
-def test_prune_mask_validation():
-    for bad in ([[0, 2]], [[0.0, 0.5]], [[1.0, np.nan]]):
-        with pytest.raises(ParameterError):
-            PruneMask(np.array(bad))
-    PruneMask(np.array([[0.0, 1.0]]))  # whole floats are 0/1 entries
-    # Ragged in both directions is rejected; uniform rows or columns pass.
-    with pytest.raises(ParameterError):
-        PruneMask(np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0]]))
-    PruneMask(np.array([[1, 1, 0], [0, 1, 1]]))
-    PruneMask(np.array([[1, 0], [0, 1], [1, 1]]))
+        apply_mask(A, np.zeros((2, 5), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +230,13 @@ def test_random_a_cols_zeroes_exact_count_per_row():
     pair = init_adapter(6, 10, 4, Rng(11))
     cfg = PruneConfig(0.5, 40, "random_A_cols")
     mask = ablation_prune(pair, None, cfg, Rng(12))
-    assert mask.M.shape == (4, 10)
-    assert (mask.M.sum(axis=1) == 5).all()
+    assert mask.shape == (4, 10)
+    assert (mask.sum(axis=1) == 5).all()
     assert ((pair.A.data == 0).sum(axis=1) >= 5).all()
 
     again = init_adapter(6, 10, 4, Rng(11))
     mask2 = ablation_prune(again, None, cfg, Rng(12))
-    assert np.array_equal(mask.M, mask2.M)
+    assert np.array_equal(mask, mask2)
 
 
 def test_random_a_cols_requires_rng():
@@ -263,8 +250,8 @@ def test_b_rows_prunes_half_of_rank_eight():
     pair.B.data[...] = Rng(15).normal((10, 8))
     xbar = np.abs(Rng(16).normal((8,)))
     mask = ablation_prune(pair, xbar, PruneConfig(0.5, 40, "B_rows"), None)
-    assert mask.M.shape == (10, 8)
-    assert (mask.M.sum(axis=1) == 4).all()
+    assert mask.shape == (10, 8)
+    assert (mask.sum(axis=1) == 4).all()
     assert ((pair.B.data == 0).sum(axis=1) >= 4).all()
 
 
@@ -274,7 +261,7 @@ def test_b_cols_full_ratio_clears_b():
     xbar = np.abs(Rng(19).normal((3,)))
     mask = ablation_prune(pair, xbar, PruneConfig(1.0, 40, "B_cols"), None)
     assert np.count_nonzero(pair.B.data) == 0
-    assert (mask.M.sum(axis=0) == 5).all()
+    assert (mask.sum(axis=0) == 5).all()
 
 
 def test_b_cols_keeps_highest_scores_per_column():
@@ -294,6 +281,17 @@ def test_ablation_prune_rejects_standard_strategy():
         ablation_prune(pair, np.zeros(6), PruneConfig(0.5, 40, "prilora_A"), Rng(0))
 
 
+def test_pruning_under_none_is_a_config_error():
+    # "none" prunes nothing, so it has no row in the strategy table; asking
+    # it to prune must still be the package's typed error
+    pair = init_adapter(4, 6, 2, Rng(21))
+    cfg = PruneConfig(0.5, 40, "none")
+    with pytest.raises(ConfigError):
+        ablation_prune(pair, None, cfg, Rng(0))
+    with pytest.raises(ConfigError):
+        prune_event({"blocks.0.wq": pair}, cfg, {}, Rng(0), 40)
+
+
 # ---------------------------------------------------------------------------
 # Regrowth
 
@@ -301,7 +299,7 @@ def test_ablation_prune_rejects_standard_strategy():
 def test_masked_coordinate_regrows_after_one_sgd_step():
     # Loss (A[0,0] - 1)^2 has gradient -2 at A[0,0] = 0: one step moves it off zero.
     pair = init_adapter(3, 4, 2, Rng(22))
-    mask = PruneMask(np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint8))
+    mask = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint8)
     pair.A.data[...] = apply_mask(pair.A.data, mask)
     assert pair.A.data[0, 0] == 0.0
 

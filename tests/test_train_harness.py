@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from prilora import checkpoint as checkpoint_mod
 from prilora import model as model_mod
 from prilora import prune_engine
 from prilora.adapter import init_adapter
@@ -638,6 +639,28 @@ def test_resume_from_midpoint_is_bitwise(task):
     # resumed record carries only the back half of the eval history
     assert [p.step for p in resumed.eval_points] == [20]
     assert resumed.eval_points[-1].to_json() == full.eval_points[-1].to_json()
+
+
+def test_each_checkpoint_is_captured_once(task, monkeypatch):
+    # one capture per eval point plus the mid checkpoint: the last step always
+    # evaluates, so its capture is the final checkpoint
+    blobs = []
+
+    def counting(*args):
+        blobs.append(capture_state(*args))
+        return blobs[-1]
+
+    monkeypatch.setattr(checkpoint_mod, "capture_state", counting)
+    cfg = small_cfg(steps=20, eval_interval=5)
+    full = train(build_model(cfg, DIMS), task, cfg, checkpoint_at=7)
+    assert [p.step for p in full.eval_points] == [0, 5, 10, 15, 20]
+    assert len(blobs) == 6
+    assert full.final_checkpoint is blobs[-1] and full.mid_checkpoint is blobs[2]
+    # a resume at the last step runs no step and evaluates nowhere, so the
+    # final checkpoint is its one capture
+    blobs.clear()
+    again = train(build_model(cfg, DIMS), task, cfg, resume_from=full.final_checkpoint)
+    assert len(blobs) == 1 and again.final_checkpoint == full.final_checkpoint
 
 
 def test_resumed_event_records_equal_the_uninterrupted_runs(task):
