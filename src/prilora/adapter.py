@@ -1,13 +1,14 @@
 """Low-rank adapter pairs over frozen weight matrices.
 
-Each adapted matrix W0 (d1 x d2) gets a pair of small trainable factors:
-A (r x d2), drawn from a Gaussian, and B (d1 x r), initialized to zero, so
-the adapted forward pass starts out exactly equal to the frozen one. One
-tape node, ``numerics.adapted_linear``, folds the pair into the merged
-weight W0 + scale * B @ A and applies that in one product; ``merge`` forms
-the same weight for inference, so on 2-D input the two agree bit for bit.
-Only A and B carry gradients: the node yields dx, dA and dB and never one
-for the frozen weight, which never changes.
+Each adapted matrix W0 (d1 x d2), a plain frozen Tensor, gets a pair of
+small trainable factors: A (r x d2), drawn from a Gaussian, and B (d1 x r),
+initialized to zero, so the adapted forward pass starts out exactly equal to
+the frozen one; the rank r is read from their shapes. One tape node,
+``numerics.adapted_linear``, folds the pair into the merged weight
+W0 + scale * B @ A and applies that in one product; ``merge`` forms the same
+weight for inference, so on 2-D input the two agree bit for bit. Only A and
+B carry gradients: the node yields dx, dA and dB and never one for the
+frozen weight, which never changes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import ParameterError, RankError, ShapeError
 from .numerics import Rng, Tensor
 
 __all__ = [
-    "FrozenLinear",
     "AdapterPair",
     "init_adapter",
     "forward",
@@ -30,26 +30,6 @@ __all__ = [
     "trainable_param_count",
     "nonzero_param_count",
 ]
-
-
-@dataclass
-class FrozenLinear:
-    """A dense weight that training must never touch."""
-
-    W0: Tensor
-
-    def __post_init__(self) -> None:
-        if self.W0.ndim != 2:
-            raise ShapeError(f"frozen weight must be 2-D, got shape {self.W0.shape}")
-        self.W0.requires_grad = False
-
-    @property
-    def out_features(self) -> int:
-        return self.W0.shape[0]
-
-    @property
-    def in_features(self) -> int:
-        return self.W0.shape[1]
 
 
 @dataclass
@@ -63,7 +43,6 @@ class AdapterPair:
 
     A: Tensor
     B: Tensor
-    rank: int
     scale: float
     frozen_ref: str
 
@@ -72,17 +51,16 @@ class AdapterPair:
             raise ShapeError(
                 f"adapter factors must be 2-D, got A {self.A.shape}, B {self.B.shape}"
             )
-        r_a, d2 = self.A.shape
-        d1, r_b = self.B.shape
-        if r_a != self.rank or r_b != self.rank:
-            raise RankError(
-                f"declared rank {self.rank} does not match factor shapes "
-                f"A {self.A.shape}, B {self.B.shape}"
-            )
-        if self.rank > min(d1, d2):
-            raise RankError(f"rank {self.rank} exceeds min({d1}, {d2})")
+        if self.B.shape[1] != self.rank:
+            raise RankError(f"factor ranks differ: A {self.A.shape}, B {self.B.shape}")
+        if self.rank > min(self.d1, self.d2):
+            raise RankError(f"rank {self.rank} exceeds min({self.d1}, {self.d2})")
         self.A.requires_grad = True
         self.B.requires_grad = True
+
+    @property
+    def rank(self) -> int:
+        return self.A.shape[0]
 
     @property
     def d1(self) -> int:
@@ -107,41 +85,37 @@ def init_adapter(
         raise RankError(f"adapter rank must be >= 1, got {r}")
     if std <= 0:
         raise ParameterError(f"init std must be positive, got {std}")
-    A = numerics.gaussian(rng, (r, d2), mean=0.0, std=std)
+    A = Tensor(rng.normal((r, d2), std=std))
     B = Tensor(np.zeros((d1, r)))
-    return AdapterPair(A=A, B=B, rank=r, scale=float(scale), frozen_ref=frozen_ref)
+    return AdapterPair(A=A, B=B, scale=float(scale), frozen_ref=frozen_ref)
 
 
-def forward(layer: FrozenLinear, adapter: AdapterPair | None, x: Tensor) -> Tensor:
+def _check_fit(W0: Tensor, adapter: AdapterPair | None) -> None:
+    if W0.ndim != 2:
+        raise ShapeError(f"frozen weight must be 2-D, got shape {W0.shape}")
+    if adapter is not None and (adapter.d1, adapter.d2) != W0.shape:
+        raise ShapeError(f"adapter ({adapter.d1}, {adapter.d2}) does not fit layer {W0.shape}")
+
+
+def forward(W0: Tensor, adapter: AdapterPair | None, x: Tensor) -> Tensor:
     """Adapted linear map: x @ (W0 + scale * B @ A)^T.
 
-    x carries features on the trailing axis (width d2); output width is d1.
-    Passing adapter=None gives the frozen layer alone.
+    W0 is the frozen (d1, d2) weight; x carries features on the trailing
+    axis (width d2); output width is d1. Passing adapter=None gives the
+    frozen layer alone.
     """
-    if x.shape[-1] != layer.in_features:
-        raise ShapeError(
-            f"input width {x.shape[-1]} does not match layer width {layer.in_features}"
-        )
+    _check_fit(W0, adapter)
+    if x.shape[-1] != W0.shape[1]:
+        raise ShapeError(f"input width {x.shape[-1]} does not match layer width {W0.shape[1]}")
     if adapter is None:
-        return numerics.matmul(x, layer.W0.transpose())
-    if adapter.d2 != layer.in_features or adapter.d1 != layer.out_features:
-        raise ShapeError(
-            f"adapter ({adapter.d1}, {adapter.d2}) does not fit layer "
-            f"({layer.out_features}, {layer.in_features})"
-        )
-    return numerics.adapted_linear(x, layer.W0, adapter.A, adapter.B, adapter.scale)
+        return numerics.matmul(x, W0.transpose())
+    return numerics.adapted_linear(x, W0, adapter.A, adapter.B, adapter.scale)
 
 
-def merge(layer: FrozenLinear, adapter: AdapterPair) -> FrozenLinear:
-    """Fold the pair into a single dense weight: W0 + scale * B @ A."""
-    if adapter.d2 != layer.in_features or adapter.d1 != layer.out_features:
-        raise ShapeError(
-            f"adapter ({adapter.d1}, {adapter.d2}) does not fit layer "
-            f"({layer.out_features}, {layer.in_features})"
-        )
-    return FrozenLinear(
-        W0=Tensor(numerics.merged_weight(layer.W0, adapter.A, adapter.B, adapter.scale))
-    )
+def merge(W0: Tensor, adapter: AdapterPair) -> Tensor:
+    """Fold the pair into a single frozen dense weight: W0 + scale * B @ A."""
+    _check_fit(W0, adapter)
+    return Tensor(numerics.merged_weight(W0, adapter.A, adapter.B, adapter.scale))
 
 
 def trainable_param_count(layout: Mapping[str, tuple[int, int, int]]) -> int:

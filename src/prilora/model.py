@@ -1,7 +1,8 @@
 """A small frozen transformer encoder classifier with low-rank adapters.
 
 The base network (embeddings, positions, and per-block attention and FFN
-matrices) is initialized once from a seed and never trained. Each block's
+matrices) is initialized once from a seed and never trained; each block maps
+a matrix kind to its frozen weight, a plain Tensor. Each block's
 matrices of the adapted kinds receive an adapter pair at the rank the plan
 assigns to that block; a plan rank of zero leaves the block unadapted, and
 ``adapter_layout`` is the one place that decides this. The only other
@@ -26,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from . import numerics, prune_engine
-from .adapter import AdapterPair, FrozenLinear, forward as adapter_forward, init_adapter
+from .adapter import AdapterPair, forward as adapter_forward, init_adapter
 from .errors import ConfigError, ParameterError, RankError, ShapeError
 from .numerics import Rng, Tensor
 from .rank_plan import RankPlan
@@ -96,7 +97,7 @@ class ToyModel:
         plan: RankPlan,
         embed: np.ndarray,
         pos: np.ndarray,
-        blocks: list[dict[str, FrozenLinear]],
+        blocks: list[dict[str, Tensor]],
         adapters: dict[str, AdapterPair],
         head_w: Tensor,
         head_b: Tensor,
@@ -124,13 +125,13 @@ class ToyModel:
         layout = adapter_layout(dims, plan, adapt_kinds)
         embed = rng.child("base/embed").normal((dims.vocab_size, dims.d_model))
         pos = rng.child("base/pos").normal((dims.seq_len, dims.d_model))
-        blocks: list[dict[str, FrozenLinear]] = []
+        blocks: list[dict[str, Tensor]] = []
         for i in range(dims.num_layers):
-            block: dict[str, FrozenLinear] = {}
+            block: dict[str, Tensor] = {}
             for kind in MATRIX_KINDS:
                 d1, d2 = matrix_shape(kind, dims)
                 w = rng.child(f"base/block{i}/{kind}").normal((d1, d2), std=d2**-0.5)
-                block[kind] = FrozenLinear(Tensor(w))
+                block[kind] = Tensor(w)  # frozen: requires_grad stays False
             blocks.append(block)
         adapters = {
             name: init_adapter(
@@ -191,7 +192,12 @@ class ToyModel:
         per-feature sum of squares of that source over batch and position, the
         square of its batch_input_norm, overwrites its vector in sumsq, which
         holds one per layer prune_engine.norm_widths names."""
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = np.asarray(tokens)
+        if tokens.size == 0:
+            raise ShapeError(f"token batch is empty, got shape {tokens.shape}")
+        if tokens.dtype.kind not in "iu":
+            raise ParameterError(f"token ids must be integers, got dtype {tokens.dtype}")
+        tokens = tokens.astype(np.int64, copy=False)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
         if tokens.ndim != 2:
@@ -229,7 +235,7 @@ class ToyModel:
         arrays = [self.embed, self.pos]
         for block in self.blocks:
             for kind in MATRIX_KINDS:
-                arrays.append(block[kind].W0.data)
+                arrays.append(block[kind].data)
         return arrays
 
     def base_hash(self) -> str:

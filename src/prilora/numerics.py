@@ -12,7 +12,7 @@ serialized payloads byte-identical.
 Raw array storage and the matrix product itself are delegated to numpy; the
 tape, the gradient rules, the random stream discipline, and the wire format
 are owned here. The wire format has one parser, ``read_tensor``, which reads
-from a stream; ``tensor_from_bytes`` runs it over an in-memory buffer.
+from a stream.
 
 At the training stack's small shapes numpy's cost per call and per short
 reduction dominates, not FLOPs: adapted_linear folds its leading axes and
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import math
 import operator
 import struct
@@ -68,10 +67,8 @@ __all__ = [
     "layernorm",
     "pooled_head",
     "softmax_cross_entropy",
-    "gaussian",
     "grad_check",
     "tensor_to_bytes",
-    "tensor_from_bytes",
     "read_tensor",
     "fingerprint",
 ]
@@ -202,9 +199,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -216,12 +210,6 @@ class Tensor:
 
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(other, mul(self, -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -728,11 +716,6 @@ class Rng:
         }
 
 
-def gaussian(rng: Rng, shape, mean: float = 0.0, std: float = 1.0) -> Tensor:
-    """I.i.d. normal samples as a constant tensor; reproducible per seed."""
-    return Tensor(rng.normal(shape, mean, std))
-
-
 # ---------------------------------------------------------------------------
 # Gradient checking
 
@@ -795,15 +778,6 @@ def tensor_to_bytes(t: Tensor | np.ndarray) -> bytes:
     header = struct.pack("<I", arr.ndim)
     header += b"".join(struct.pack("<Q", extent) for extent in arr.shape)
     return header + arr.astype("<f8").tobytes(order="C")
-
-
-def tensor_from_bytes(buf: bytes | memoryview) -> Tensor:
-    fp = io.BytesIO(buf)
-    t = read_tensor(fp)
-    extra = len(fp.read())
-    if extra:
-        raise ShapeError(f"trailing bytes after tensor payload: {extra}")
-    return t
 
 
 def read_tensor(fp: BinaryIO) -> Tensor:

@@ -173,7 +173,7 @@ def test_criterion_06_pruned_weights_regrow():
     mask = build_mask(importance(pair.A.data, np.ones(8)), 0.5)
     pair.A.data[...] = apply_mask(pair.A.data, mask)
 
-    layer = adapter.FrozenLinear(Tensor(rng.child("W0").normal((6, 8), std=0.3)))
+    layer = Tensor(rng.child("W0").normal((6, 8), std=0.3))
     x = Tensor(rng.child("x").normal((4, 8)))
     mix = Tensor(rng.child("mix").normal((4, 6)))
     loss = (adapter.forward(layer, pair, x) * mix).sum()

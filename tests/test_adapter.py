@@ -5,7 +5,6 @@ import pytest
 
 from prilora.adapter import (
     AdapterPair,
-    FrozenLinear,
     forward,
     init_adapter,
     merge,
@@ -20,7 +19,7 @@ from prilora.rank_plan import explicit_plan, linear_plan, uniform_plan
 
 
 def make_layer(d1, d2, seed=0):
-    return FrozenLinear(Tensor(Rng(seed).child("w").normal((d1, d2))))
+    return Tensor(Rng(seed).child("w").normal((d1, d2)))
 
 
 def randomized_pair(d1, d2, r, seed=1):
@@ -70,7 +69,10 @@ def test_adapter_pair_shape_validation():
     A = Tensor(np.zeros((2, 5)))
     B = Tensor(np.zeros((4, 3)))
     with pytest.raises(RankError):
-        AdapterPair(A=A, B=B, rank=2, scale=1.0, frozen_ref="x")
+        AdapterPair(A=A, B=B, scale=1.0, frozen_ref="x")
+    with pytest.raises(RankError, match="exceeds"):
+        AdapterPair(A=Tensor(np.zeros((3, 2))), B=Tensor(np.zeros((4, 3))), scale=1.0, frozen_ref="x")
+    assert AdapterPair(A=A, B=Tensor(np.zeros((4, 2))), scale=1.0, frozen_ref="x").rank == 2
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +82,12 @@ def test_adapter_pair_shape_validation():
 def test_forward_identity_composition():
     # W0 = 0 and identity-padded factors pass through the rank subspace.
     d, r = 4, 2
-    layer = FrozenLinear(Tensor(np.zeros((d, d))))
+    layer = Tensor(np.zeros((d, d)))
     A = np.zeros((r, d))
     A[:, :r] = np.eye(r)
     B = np.zeros((d, r))
     B[:r, :] = np.eye(r)
-    pair = AdapterPair(Tensor(A), Tensor(B), rank=r, scale=1.0, frozen_ref="w")
+    pair = AdapterPair(Tensor(A), Tensor(B), scale=1.0, frozen_ref="w")
     x = Tensor(Rng(7).normal((3, d)))
     h = forward(layer, pair, x).data
     assert np.array_equal(h[:, :r], x.data[:, :r])
@@ -102,12 +104,26 @@ def test_forward_shape_errors():
         forward(layer, wrong, Tensor(Rng(2).normal((3, 8))))
 
 
+@pytest.mark.parametrize("shape", [(2, 8, 8), (8,)])
+def test_forward_and_merge_refuse_a_weight_that_is_not_2d(shape):
+    # a (2, 8, 8) weight would otherwise run as a batched matmul
+    weight = Tensor(np.zeros(shape))
+    pair = init_adapter(8, 8, 2, Rng(1))
+    x = Tensor(Rng(2).normal((3, 8)))
+    with pytest.raises(ShapeError, match="2-D"):
+        forward(weight, None, x)
+    with pytest.raises(ShapeError, match="2-D"):
+        forward(weight, pair, x)
+    with pytest.raises(ShapeError, match="2-D"):
+        merge(weight, pair)
+
+
 def test_forward_supports_batched_sequences():
     layer = make_layer(5, 8)
     pair = randomized_pair(5, 8, 3)
     x = Rng(4).normal((2, 6, 8))
     out = forward(layer, pair, Tensor(x)).data
-    expected = x @ layer.W0.data.T + pair.scale * (x @ pair.A.data.T) @ pair.B.data.T
+    expected = x @ layer.data.T + pair.scale * (x @ pair.A.data.T) @ pair.B.data.T
     assert np.abs(out - expected).max() < 1e-12
 
 
@@ -128,7 +144,7 @@ def test_gradients_flow_to_adapter_only():
     (out * out).mean().backward()
     assert pair.A.grad is not None and np.abs(pair.A.grad).max() > 0
     assert pair.B.grad is not None and np.abs(pair.B.grad).max() > 0
-    assert layer.W0.grad is None
+    assert layer.grad is None
 
 
 def test_gradient_correctness_through_forward():
@@ -151,15 +167,13 @@ def test_merge_with_zero_b_is_w0():
     layer = make_layer(5, 8)
     pair = init_adapter(5, 8, 2, Rng(1))
     merged = merge(layer, pair)
-    assert np.array_equal(merged.W0.data, layer.W0.data)
+    assert np.array_equal(merged.data, layer.data)
 
 
 def test_merge_rank_one_ones_outer_product():
-    layer = FrozenLinear(Tensor(np.zeros((3, 4))))
-    pair = AdapterPair(
-        Tensor(np.ones((1, 4))), Tensor(np.ones((3, 1))), rank=1, scale=1.0, frozen_ref="w"
-    )
-    assert np.array_equal(merge(layer, pair).W0.data, np.ones((3, 4)))
+    layer = Tensor(np.zeros((3, 4)))
+    pair = AdapterPair(Tensor(np.ones((1, 4))), Tensor(np.ones((3, 1))), scale=1.0, frozen_ref="w")
+    assert np.array_equal(merge(layer, pair).data, np.ones((3, 4)))
 
 
 def test_merge_equivalence_over_random_inputs():
@@ -187,11 +201,9 @@ def test_merge_back_is_exact(scale):
 
 
 def test_merge_scale_is_applied():
-    layer = FrozenLinear(Tensor(np.zeros((3, 3))))
-    pair = AdapterPair(
-        Tensor(np.ones((1, 3))), Tensor(np.ones((3, 1))), rank=1, scale=0.25, frozen_ref="w"
-    )
-    assert np.array_equal(merge(layer, pair).W0.data, np.full((3, 3), 0.25))
+    layer = Tensor(np.zeros((3, 3)))
+    pair = AdapterPair(Tensor(np.ones((1, 3))), Tensor(np.ones((3, 1))), scale=0.25, frozen_ref="w")
+    assert np.array_equal(merge(layer, pair).data, np.full((3, 3), 0.25))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,27 @@
+"""Every name a prilora submodule exports through ``__all__`` exists, so a
+deletion cannot leave a stale entry that breaks ``from prilora.x import *``."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import prilora
+
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(prilora.__path__))
+
+
+def test_every_submodule_is_found():
+    assert {"adapter", "model", "numerics"} <= set(SUBMODULES)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"prilora.{name}")
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported), f"prilora.{name}.__all__ repeats a name"
+    missing = [attr for attr in exported if not hasattr(module, attr)]
+    assert missing == [], f"prilora.{name}.__all__ names what it does not define"
+    namespace: dict = {}
+    exec(f"from prilora.{name} import *", namespace)
+    assert set(exported) <= set(namespace)

@@ -14,11 +14,9 @@ from prilora.errors import NumericError, ParameterError, ShapeError
 from prilora.numerics import (
     Rng,
     Tensor,
-    gaussian,
     grad_check,
     no_grad,
     read_tensor,
-    tensor_from_bytes,
     tensor_to_bytes,
 )
 
@@ -594,10 +592,10 @@ def test_rng_seed_validation():
 
 
 def test_gaussian_std_zero_and_negative():
-    t = gaussian(Rng(1), (4, 4), mean=2.5, std=0.0)
-    assert np.array_equal(t.data, np.full((4, 4), 2.5))
+    draws = Rng(1).normal((4, 4), mean=2.5, std=0.0)
+    assert np.array_equal(draws, np.full((4, 4), 2.5))
     with pytest.raises(ParameterError):
-        gaussian(Rng(1), (2,), std=-1.0)
+        Rng(1).normal((2,), std=-1.0)
 
 
 def test_integers_and_permutation_ranges():
@@ -616,7 +614,7 @@ def test_tensor_bytes_round_trip_exact():
     for shape in [(), (5,), (3, 4), (2, 3, 4)]:
         arr = rand(shape, seed=31) if shape else np.float64(1.75)
         blob = tensor_to_bytes(Tensor(np.asarray(arr)))
-        back = tensor_from_bytes(blob)
+        back = read_tensor(io.BytesIO(blob))
         assert back.data.shape == np.asarray(arr).shape
         assert np.array_equal(back.data, np.asarray(arr))
 
@@ -633,17 +631,15 @@ def test_tensor_bytes_layout():
 def test_tensor_bytes_truncation_and_trailing_errors():
     blob = tensor_to_bytes(Tensor(rand((3, 2))))
     with pytest.raises(ShapeError):
-        tensor_from_bytes(blob[:-1])
+        read_tensor(io.BytesIO(blob[:-1]))
     with pytest.raises(ShapeError):
-        tensor_from_bytes(blob + b"\x00")
-    with pytest.raises(ShapeError):
-        tensor_from_bytes(blob[:3])
+        read_tensor(io.BytesIO(blob[:3]))
     # shapes whose element count or extent no index can hold
     for shape in [(2**32, 2**32), (2**63,), (0, 2**64 - 1)]:
         head = len(shape).to_bytes(4, "little")
         head += b"".join(extent.to_bytes(8, "little") for extent in shape)
         with pytest.raises(ShapeError):
-            tensor_from_bytes(head + bytes(64))
+            read_tensor(io.BytesIO(head + bytes(64)))
 
 
 def test_stream_read_write_multiple():
@@ -666,7 +662,7 @@ def test_stream_read_write_multiple():
 )
 def test_serialization_round_trip_property(values):
     arr = np.asarray(values, dtype=np.float64)
-    assert np.array_equal(tensor_from_bytes(tensor_to_bytes(Tensor(arr))).data, arr)
+    assert np.array_equal(read_tensor(io.BytesIO(tensor_to_bytes(Tensor(arr)))).data, arr)
 
 
 def test_fingerprint_sensitive_to_any_change():

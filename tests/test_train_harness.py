@@ -140,6 +140,19 @@ def test_unknown_adapt_kind_rejected():
         build_model(cfg, DIMS)
 
 
+@pytest.mark.parametrize("tokens, error", [
+    (np.zeros((0, 8), dtype=np.int64), ShapeError),
+    (np.zeros((4, 0), dtype=np.int64), ShapeError),
+    ([], ShapeError),
+    (np.array([[0.5, 1.0]]), ParameterError),
+    (np.array([[0.0, 1.0]]), ParameterError),
+])
+def test_forward_refuses_empty_or_non_integer_tokens(tokens, error):
+    model = build_model(small_cfg(), DIMS)
+    with pytest.raises(error, match="empty" if error is ShapeError else "integers"):
+        model.forward(tokens)
+
+
 def test_same_seed_builds_identical_models(task):
     a = build_model(small_cfg(), DIMS)
     b = build_model(small_cfg(), DIMS)
@@ -183,7 +196,7 @@ def test_gradients_flow_to_adapters_and_head_only(task):
         assert np.abs(t.grad).max() > 0, name
     for block in model.blocks:
         for kind in MATRIX_KINDS:
-            assert block[kind].W0.grad is None
+            assert block[kind].grad is None
 
 
 def test_one_output_regression_head_gradients_match_finite_differences():
