@@ -2,16 +2,19 @@
 
 A checkpoint holds everything needed to continue a run bit-for-bit: every
 adapter factor, the classifier head, the EMA vector of each layer
-``prune_engine.norm_widths`` names (saved as ``ema/<layer>``), optimizer
-slots, random-stream positions, the step counter, and the records of the
-prune events since the last evaluation point, which that run's next point
-lists. It also records every
-field of the run's ``TrainConfig`` and ``ModelDims`` and a digest of its task
-data; a resume under any other value of one is refused, naming the field.
+``prune_engine.norm_widths`` names (saved as ``ema/<layer>``), the
+optimizer's slots (``opt/<slot>/<param>``), random-stream positions, the
+step counter, which is also the optimizer's, and the records of the prune
+events since the last evaluation point, which that run's next point lists.
+It also records every field of the run's ``TrainConfig`` and ``ModelDims``
+and a digest of its task data; a resume under any other value of one is
+refused, naming the field. The tensor names and shapes are the adapter
+layout and the optimizer kind: a run that reads other tensors is refused.
 
-Layout: magic, format version, a canonical JSON header (sorted keys, no
-whitespace), the tensor payloads in the exact order the header lists, and
-the SHA-256 of every byte before it. Because every piece is ordered
+Layout: magic, format version, a canonical JSON header (``config``,
+``step``, ``rng``, ``events`` and ``tensors``; sorted keys, no whitespace),
+the tensor payloads in the exact order the header lists, and the SHA-256 of
+every byte before it. Because every piece is ordered
 deterministically, save -> load -> save reproduces identical bytes; a
 corrupted or truncated file fails the digest.
 """
@@ -31,19 +34,27 @@ from .errors import FormatError, ShapeError
 from .numerics import Rng, read_tensor, tensor_to_bytes
 
 MAGIC = b"PRLC"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 DIGEST_BYTES = 32  # the SHA-256 that ends the file
+_SHOWN = 3  # differing tensor names a refusal lists before it counts the rest
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "capture_state", "restore_state"]
 
 
-def _record(cfg, model, task: str) -> dict:
-    """The run as the header records it: its config, dims, task digest and
-    adapter ranks."""
-    return {
-        "config": {"train": asdict(cfg), "dims": asdict(model.dims), "task": task},
-        "adapters": [{"name": name, "rank": pair.rank} for name, pair in model.adapters.items()],
-    }
+def _config(cfg, model, task: str) -> dict:
+    """The run as the header records it: its config, dims and task digest."""
+    return {"train": asdict(cfg), "dims": asdict(model.dims), "task": task}
+
+
+def _tensors(model, optimizer, xbars: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """{name: live array} of every tensor a checkpoint of this run holds, in
+    payload order."""
+    params = model.trainable()
+    tensors = {f"param/{pname}": t.data for pname, t in params.items()}
+    tensors.update({f"ema/{name}": xbars[name] for name in sorted(xbars)})
+    tensors.update({f"opt/{slot}/{pname}": views[pname]
+                    for slot, views in optimizer.slots.items() for pname in params})
+    return tensors
 
 
 def capture_state(
@@ -60,40 +71,22 @@ def capture_state(
     under, xbars its EMA vector for each layer norm_widths names, task the
     fingerprint of its task data and events the prune event records its next
     evaluation point is to list."""
-    params = model.trainable()
-    opt_state = optimizer.state_dict()
-
-    tensors = [(f"param/{pname}", t.data) for pname, t in params.items()]
-    tensors += [(f"ema/{name}", xbars[name]) for name in sorted(xbars)]
-    for slot in opt_state["slots"]:
-        tensors += [(f"opt/{slot}/{pname}", opt_state[slot][pname]) for pname in params]
-
+    tensors = _tensors(model, optimizer, xbars)
     header = {
-        **_record(cfg, model, task),
+        "config": _config(cfg, model, task),
         "step": int(step),
-        "optimizer": {"kind": opt_state["kind"], "t": opt_state["t"], "slots": list(opt_state["slots"])},
         "rng": {tag: rngs[tag].get_state() for tag in sorted(rngs)},
         "events": list(events),
-        "tensors": [name for name, _ in tensors],
+        "tensors": list(tensors),
     }
     head_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     out = bytearray(MAGIC)
     out += struct.pack("<IQ", FORMAT_VERSION, len(head_bytes))
     out += head_bytes
-    for _, arr in tensors:
+    for arr in tensors.values():
         out += tensor_to_bytes(arr)
     out += hashlib.sha256(out).digest()
     return bytes(out)
-
-
-def _fields(obj, **types) -> dict:
-    """obj, which must be a mapping holding a value of each given type (no bools)."""
-    if not isinstance(obj, dict):
-        raise FormatError("checkpoint header: expected an object")
-    for key, kind in types.items():
-        if not isinstance(obj.get(key), kind) or isinstance(obj.get(key), bool):
-            raise FormatError(f"checkpoint header: field {key!r} is missing or malformed")
-    return obj
 
 
 def _flat(obj, prefix: str = "") -> dict:
@@ -106,12 +99,12 @@ def _flat(obj, prefix: str = "") -> dict:
     return out
 
 
-def _parse(blob: bytes, model, xbars, cfg, task: str) -> tuple[dict, dict[str, np.ndarray]]:
+def _parse(blob: bytes, live: Mapping[str, np.ndarray], config: dict) -> tuple[dict, dict]:
     """Header and tensors of a checkpoint, checked against the live run: the
     magic, version and digest, the type of each header field restore_state
-    reads, the recorded config against cfg, the model's dims and task field
-    by field, the adapter layout, and exactly the tensors the run reads,
-    each at its live shape, with finite, nonnegative EMA vectors."""
+    reads, the recorded config against the run's field by field, and exactly
+    the run's tensors, each listed once and at its live shape, with finite,
+    nonnegative EMA vectors."""
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise FormatError("not a checkpoint: bad magic")
     (version,) = struct.unpack_from("<I", blob, 4)
@@ -128,27 +121,28 @@ def _parse(blob: bytes, model, xbars, cfg, task: str) -> tuple[dict, dict[str, n
         header = json.loads(body[16:head_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"unreadable checkpoint header: {exc}") from None
-    _fields(header, step=int, config=dict, adapters=list, optimizer=dict, rng=dict,
-            events=list, tensors=list)
+    if not isinstance(header, dict):
+        raise FormatError("checkpoint header: expected an object")
+    for key, kind in (("step", int), ("config", dict), ("rng", dict), ("events", list),
+                      ("tensors", list)):
+        if not isinstance(header.get(key), kind) or isinstance(header.get(key), bool):
+            raise FormatError(f"checkpoint header: field {key!r} is missing or malformed")
     if not all(isinstance(event, dict) for event in header["events"]):
         raise FormatError("checkpoint header: every prune event record must be an object")
-    opt = _fields(header["optimizer"], kind=str, t=int, slots=list)
-    if not all(isinstance(name, str) for name in opt["slots"] + header["tensors"]):
-        raise FormatError("checkpoint header: slot and tensor lists must hold names")
+    if not all(isinstance(name, str) for name in header["tensors"]):
+        raise FormatError("checkpoint header: the tensor list must hold names")
 
-    live = json.loads(json.dumps(_record(cfg, model, task)))  # tuples as lists, as saved
-    saved, live_config = _flat(header["config"]), _flat(live["config"])
+    saved = _flat(header["config"])
+    live_config = _flat(json.loads(json.dumps(config)))  # tuples as lists, as saved
     for key in sorted(saved.keys() | live_config.keys()):
         if saved.get(key, ...) != live_config.get(key, ...):  # JSON holds no Ellipsis
             raise FormatError(
                 f"checkpoint was saved with {key} = {saved.get(key, 'unset')!r}, "
                 f"this run has {live_config.get(key, 'unset')!r}"
             )
-    if not 0 <= header["step"] <= cfg.steps or opt["t"] < 0:
-        raise FormatError(f"checkpoint step {header['step']} (optimizer step {opt['t']}) "
-                          f"lies outside the run's [0, {cfg.steps}]")
-    if header["adapters"] != live["adapters"]:
-        raise FormatError("checkpoint adapter names and ranks do not match the model's")
+    steps = config["train"]["steps"]
+    if not 0 <= header["step"] <= steps:
+        raise FormatError(f"checkpoint step {header['step']} lies outside the run's [0, {steps}]")
 
     fp = io.BytesIO(body[head_end:])
     arrays: dict[str, np.ndarray] = {}
@@ -159,21 +153,20 @@ def _parse(blob: bytes, model, xbars, cfg, task: str) -> tuple[dict, dict[str, n
             raise FormatError(f"checkpoint tensor {name}: {exc}") from None
     if fp.read(1):
         raise FormatError("trailing bytes after checkpoint payload")
+    if len(arrays) != len(header["tensors"]):
+        raise FormatError("checkpoint header lists a tensor name twice")
 
-    params = model.trainable()
-    needed = {f"param/{pname}": t.shape for pname, t in params.items()}
-    needed.update({f"opt/{slot}/{p}": t.shape for slot in opt["slots"] for p, t in params.items()})
-    needed.update({f"ema/{name}": xbar.shape for name, xbar in xbars.items()})
-    if set(arrays) != set(needed):
-        differ = sorted(set(arrays) ^ set(needed))
-        raise FormatError(f"checkpoint tensors differ from the run's: {differ}")
-    for key, shape in needed.items():
-        if arrays[key].shape != shape:
-            raise FormatError(f"tensor {key}: saved shape {arrays[key].shape} != live {shape}")
-    for name in xbars:
-        ema = arrays[f"ema/{name}"]
-        if not (np.isfinite(ema).all() and (ema >= 0).all()):
-            raise FormatError(f"checkpoint ema/{name}: EMA entries must be finite and nonnegative")
+    if set(arrays) != set(live):
+        differ = sorted(set(arrays) ^ set(live))
+        more = f" and {len(differ) - _SHOWN} more" if len(differ) > _SHOWN else ""
+        raise FormatError(f"checkpoint tensors differ from the run's: "
+                          f"{', '.join(differ[:_SHOWN])}{more}")
+    for key, arr in live.items():
+        got = arrays[key]
+        if got.shape != arr.shape:
+            raise FormatError(f"tensor {key}: saved shape {got.shape} != live {arr.shape}")
+        if key.startswith("ema/") and not (np.isfinite(got).all() and (got >= 0).all()):
+            raise FormatError(f"checkpoint {key}: EMA entries must be finite and nonnegative")
     return header, arrays
 
 
@@ -189,17 +182,18 @@ def restore_state(
     """Load a checkpoint into live objects; returns the stored step and the
     prune event records it carries.
 
-    The model must already be built with the same plan and adapter layout,
-    and xbars must hold its EMA vector for each layer norm_widths names;
-    tensors and EMA vectors are written in place, so optimizer bindings and
-    views stay valid. A checkpoint saved under another TrainConfig than cfg,
-    another ModelDims than the model's or another task digest than task, a
-    corrupted one, or one that lacks a random stream the run needs, is
-    refused. Every check runs before the first write, so a rejected
-    checkpoint leaves the live objects as they were.
+    xbars must hold the run's EMA vector for each layer norm_widths names;
+    tensors, optimizer slots and EMA vectors are written in place, so
+    bindings and views stay valid. A checkpoint saved under another
+    TrainConfig than cfg, another ModelDims than the model's or another task
+    digest than task, one whose tensors differ from the run's by name or
+    shape (another adapter layout or optimizer kind), a corrupted one, or
+    one that lacks a random stream the run needs, is refused. Every check
+    runs before the first write, so a rejected checkpoint leaves the live
+    objects as they were.
     """
-    header, arrays = _parse(blob, model, xbars, cfg, task)
-    params = model.trainable()
+    live = _tensors(model, optimizer, xbars)
+    header, arrays = _parse(blob, live, _config(cfg, model, task))
 
     saved_rng = {tag: header["rng"].get(tag, {}) for tag in rngs}  # a missing one fails below
     for tag, state in saved_rng.items():
@@ -207,20 +201,10 @@ def restore_state(
             Rng(0).set_state(state)  # a scratch stream, so a bad state fails before any write
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"checkpoint rng state {tag!r}: {exc!r}") from None
-    opt_meta, live_opt = header["optimizer"], optimizer.state_dict()
-    if opt_meta["kind"] == live_opt["kind"] and opt_meta["slots"] != live_opt["slots"]:
-        raise FormatError(f"optimizer slots {opt_meta['slots']} != live {live_opt['slots']}")
 
-    # writes start here; the optimizer goes first because it refuses a state
-    # of another kind before touching anything
-    loaded = {"kind": opt_meta["kind"], "t": opt_meta["t"], "slots": list(opt_meta["slots"])}
-    for slot in opt_meta["slots"]:
-        loaded[slot] = {pname: arrays[f"opt/{slot}/{pname}"] for pname in params}
-    optimizer.load_state_dict(loaded)
-    for pname, t in params.items():
-        t.data[...] = arrays[f"param/{pname}"]
-    for name, xbar in xbars.items():
-        xbar[...] = arrays[f"ema/{name}"]
+    # writes start here
+    for key, arr in live.items():
+        arr[...] = arrays[key]
     for tag, state in saved_rng.items():
         rngs[tag].set_state(state)
     return header["step"], header["events"]

@@ -46,7 +46,7 @@ from .errors import (
 )
 from .model import ModelDims, adapter_layout
 from .tasks import SyntheticTask
-from .train_harness import EvalPoint, TrainConfig, build_model, steps_to_peak, train
+from .train_harness import EVAL_BATCH, EvalPoint, TrainConfig, build_model, steps_to_peak, train
 
 __all__ = ["ABLATION_VARIANTS", "main"]
 
@@ -60,6 +60,10 @@ ABLATION_VARIANTS = (
     "prune_B_cols",
     "random_A_cols",
 )
+# caps, in float64s, on a run's frozen base weights (1 GiB) and on the
+# attention scores of one forward batch (512 MiB); every command checks them
+MAX_BASE_FLOATS = 2**27
+MAX_SCORE_FLOATS = 2**26
 # the grid variants that keep the plan and swap the prune strategy
 _VARIANT_STRATEGY = {
     "no_pruning": "none",
@@ -73,15 +77,29 @@ _VARIANT_STRATEGY = {
 # Config -> runs (top level so worker processes can import _execute_run)
 
 
+def _check_fits(dims: ModelDims, batch_size: int) -> None:
+    """Refuse dims whose frozen base, or whose attention scores for one
+    training or evaluation batch, would take more floats than the caps."""
+    base = (dims.vocab_size + dims.seq_len) * dims.d_model + dims.num_layers * (
+        4 * dims.d_model**2 + 2 * dims.d_model * dims.d_ff)
+    scores = max(batch_size, EVAL_BATCH) * dims.num_heads * dims.seq_len**2
+    for what, count, cap in (("frozen base weights", base, MAX_BASE_FLOATS),
+                             ("attention scores of one batch", scores, MAX_SCORE_FLOATS)):
+        if count > cap:
+            raise ConfigError(f"the {what} would take {count:,} floats, over the cap of {cap:,}")
+
+
 def _specs(cfg: dict, seed: int) -> tuple[SyntheticTask, TrainConfig, ModelDims]:
     """The task spec, training config and model dims of one run of cfg.
 
     Checks all a run checks short of building data and weights, down to
-    every planned rank fitting the matrices it adapts.
+    every planned rank fitting the matrices it adapts, and refuses dims too
+    large to fit before any plan or layout is built for them.
     """
     task_spec = build_task(cfg, seed)
-    tcfg = build_train_config(cfg, build_plan(cfg), seed)
     dims = build_dims(cfg, task_spec)
+    _check_fits(dims, int(cfg["train.batch_size"]))
+    tcfg = build_train_config(cfg, build_plan(cfg), seed)
     adapter_layout(dims, tcfg.plan, tcfg.adapt_kinds)
     return task_spec, tcfg, dims
 
@@ -162,12 +180,13 @@ def _run_grid(work: list[tuple[dict, int, Path]], jobs: int) -> int:
 def _read_points(metrics_path: Path) -> list[EvalPoint]:
     """The eval points of a metrics log; a line that is not one names itself."""
     points = []
-    for lineno, line in enumerate(metrics_path.read_text(encoding="utf-8").splitlines(), 1):
-        if line.strip():
-            try:
+    for lineno, raw in enumerate(metrics_path.read_bytes().splitlines(), 1):
+        try:  # a line that is not UTF-8 raises UnicodeDecodeError, a ValueError
+            line = raw.decode("utf-8")
+            if line.strip():
                 points.append(EvalPoint.from_json(line))
-            except (ValueError, TypeError) as exc:
-                raise FormatError(f"{metrics_path}:{lineno}: not an eval point: {exc}") from None
+        except (ValueError, TypeError) as exc:
+            raise FormatError(f"{metrics_path}:{lineno}: not an eval point: {exc}") from None
     return points
 
 

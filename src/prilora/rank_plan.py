@@ -10,7 +10,7 @@ at equal cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, RankError
@@ -35,14 +35,11 @@ DEBERTA_BASE_RANKS: tuple[int, ...] = (4, 5, 6, 6, 7, 8, 8, 9, 10, 10, 11, 12)
 class RankPlan:
     """An immutable rank-per-layer assignment.
 
-    ranks:      one nonnegative rank per layer; rank 0 means the layer gets
-                no adapter at all.
-    budget_avg: the uniform per-layer rank this plan's total corresponds to,
-                when that average is a whole number; None otherwise.
+    ranks: one nonnegative rank per layer; rank 0 means the layer gets no
+           adapter at all.
     """
 
     ranks: tuple[int, ...]
-    budget_avg: int | None = field(default=None)
 
     def __post_init__(self) -> None:
         if not self.ranks:
@@ -54,13 +51,6 @@ class RankPlan:
                 raise RankError(f"rank for layer {i} must be nonnegative, got {r}")
         if all(r == 0 for r in self.ranks):
             raise RankError("a rank plan must assign a positive rank somewhere")
-        if self.budget_avg is not None:
-            expected = self.budget_avg * len(self.ranks)
-            if sum(self.ranks) != expected:
-                raise BudgetError(
-                    f"plan spends {sum(self.ranks)} ranks but an average of "
-                    f"{self.budget_avg} over {len(self.ranks)} layers requires {expected}"
-                )
 
     @property
     def num_layers(self) -> int:
@@ -69,6 +59,13 @@ class RankPlan:
     @property
     def total(self) -> int:
         return sum(self.ranks)
+
+    @property
+    def budget_avg(self) -> int | None:
+        """The uniform per-layer rank that spends this plan's total, when
+        that average is a whole number; None otherwise."""
+        avg, rest = divmod(self.total, self.num_layers)
+        return None if rest else avg
 
 
 def _check_layer_count(num_layers: int) -> None:
@@ -101,7 +98,7 @@ def linear_plan(num_layers: int, first_rank: int, last_rank: int) -> RankPlan:
     if num_layers == 1:
         if first_rank != last_rank:
             raise RankError("a single layer needs equal first and last ranks")
-        return RankPlan((first_rank,), budget_avg=first_rank)
+        return RankPlan((first_rank,))
 
     step = Fraction(last_rank - first_rank, num_layers - 1)
     ideal = [Fraction(first_rank) + i * step for i in range(num_layers)]
@@ -112,9 +109,7 @@ def linear_plan(num_layers: int, first_rank: int, last_rank: int) -> RankPlan:
     ranks = list(floors)
     for i in order[:leftover]:
         ranks[i] += 1
-    total = int(budget)
-    avg = total // num_layers if total % num_layers == 0 else None
-    return RankPlan(tuple(ranks), budget_avg=avg)
+    return RankPlan(tuple(ranks))
 
 
 def uniform_plan(num_layers: int, rank: int) -> RankPlan:
@@ -122,13 +117,12 @@ def uniform_plan(num_layers: int, rank: int) -> RankPlan:
     _check_layer_count(num_layers)
     if rank < 1:
         raise RankError(f"uniform rank must be >= 1, got {rank}")
-    return RankPlan((rank,) * num_layers, budget_avg=rank)
+    return RankPlan((rank,) * num_layers)
 
 
 def inverted_plan(num_layers: int, first_rank: int, last_rank: int) -> RankPlan:
     """The linear schedule reversed: large ranks early, small ranks late."""
-    base = linear_plan(num_layers, first_rank, last_rank)
-    return RankPlan(tuple(reversed(base.ranks)), budget_avg=base.budget_avg)
+    return RankPlan(tuple(reversed(linear_plan(num_layers, first_rank, last_rank).ranks)))
 
 
 def concentrated_plan(num_layers: int, last_rank: int) -> RankPlan:
@@ -136,16 +130,14 @@ def concentrated_plan(num_layers: int, last_rank: int) -> RankPlan:
     _check_layer_count(num_layers)
     if last_rank < 1:
         raise RankError(f"concentrated rank must be >= 1, got {last_rank}")
-    ranks = (0,) * (num_layers - 1) + (last_rank,)
-    avg = last_rank // num_layers if last_rank % num_layers == 0 else None
-    return RankPlan(ranks, budget_avg=avg)
+    return RankPlan((0,) * (num_layers - 1) + (last_rank,))
 
 
-def explicit_plan(ranks, budget_avg: int | None = None) -> RankPlan:
+def explicit_plan(ranks) -> RankPlan:
     """Wrap a hand-written rank list, validating it like any other plan."""
-    return RankPlan(tuple(int(r) for r in ranks), budget_avg=budget_avg)
+    return RankPlan(tuple(int(r) for r in ranks))
 
 
 def deberta_base_preset() -> RankPlan:
     """The shipped 12-layer schedule (total 96, average 8)."""
-    return RankPlan(DEBERTA_BASE_RANKS, budget_avg=8)
+    return RankPlan(DEBERTA_BASE_RANKS)

@@ -69,6 +69,8 @@ class SyntheticTask:
             raise ConfigError(f"sequence length must be >= 4, got {self.seq_len}")
         if self.train_count < 1 or self.eval_count < 1:
             raise ConfigError("train and eval counts must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"task seed must be an unsigned 64-bit integer, got {self.seed}")
         total = self.train_count + self.eval_count
         if total > self.vocab_size**self.seq_len:
             raise ConfigError(

@@ -31,7 +31,7 @@ import numpy as np
 from . import checkpoint as checkpoint_mod
 from . import numerics
 from .adapter import nonzero_param_count, trainable_param_count
-from .errors import ConfigError, ParameterError, ShapeError, TrainingDiverged
+from .errors import ConfigError, ParameterError, TrainingDiverged
 from .model import MATRIX_KINDS, ModelDims, ToyModel, adapter_layout
 from .numerics import Rng, Tensor
 from .prune_engine import (
@@ -54,9 +54,8 @@ __all__ = [
     "steps_to_peak",
 ]
 
-OPTIMIZERS = ("adam", "sgd")
 SCHEDULES = ("linear", "constant")
-_EVAL_BATCH = 64  # held-out sequences per evaluation forward pass
+EVAL_BATCH = 64  # held-out sequences per evaluation forward pass
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class TrainConfig:
         if self.steps < 1:
             raise ConfigError(f"step count must be positive, got {self.steps}")
         if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+            raise ConfigError(f"optimizer must be one of {tuple(OPTIMIZERS)}, got {self.optimizer!r}")
         if self.eval_interval < 1:
             raise ConfigError(f"eval interval must be positive, got {self.eval_interval}")
         if self.schedule not in SCHEDULES:
@@ -123,7 +122,13 @@ class EvalPoint:
 
     @classmethod
     def from_json(cls, line: str) -> "EvalPoint":
-        return cls(**json.loads(line))
+        """The point a to_json line holds; ValueError or TypeError otherwise."""
+        p = cls(**json.loads(line))
+        if not (all(type(n) is int for n in (p.step, p.nonzero_params, p.adapter_params))
+                and all(type(x) in (int, float) for x in (p.loss, p.accuracy))
+                and type(p.prune_events) is list and all(type(e) is dict for e in p.prune_events)):
+            raise TypeError(f"a field of {line.strip()!r} has the wrong type")
+        return p
 
 
 @dataclass
@@ -166,22 +171,15 @@ class RunRecord:
 
 
 class Sgd:
-    """Plain gradient descent; stateless apart from the kind tag."""
+    """Plain gradient descent; it keeps no state of its own."""
 
     def __init__(self, params: dict[str, Tensor]):
-        self.params = params
+        self.params, self.slots = params, {}
 
-    def step(self, lr: float) -> None:
+    def step(self, lr: float, t: int) -> None:
         for p in self.params.values():
             if p.grad is not None:
                 p.data -= lr * p.grad
-
-    def state_dict(self) -> dict:
-        return {"kind": "sgd", "t": 0, "slots": []}
-
-    def load_state_dict(self, state: dict) -> None:
-        if state["kind"] != "sgd":
-            raise ConfigError(f"cannot load {state['kind']!r} state into sgd")
 
 
 def _views(buf: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
@@ -194,26 +192,25 @@ def _views(buf: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.
 
 
 class Adam:
-    """Adam over one flat buffer per slot; ``m`` and ``v`` hold each
-    parameter's view into its slot's buffer."""
+    """Adam over one flat buffer per moment; ``slots`` holds each
+    parameter's view into the ``m`` and ``v`` buffers. The step count that
+    bias correction reads is the run's own step, passed to ``step``."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.t = 0
         shapes = {k: p.data.shape for k, p in params.items()}
         size = sum(p.data.size for p in params.values())
         # m, v, the gathered grads and the update
         self._m, self._v, self._g, self._u = (np.zeros(size) for _ in range(4))
-        self.m, self.v = _views(self._m, shapes), _views(self._v, shapes)
+        self.slots = {"m": _views(self._m, shapes), "v": _views(self._v, shapes)}
         self._update = _views(self._u, shapes)
         self._zeros = {k: np.zeros(shape) for k, shape in shapes.items()}  # for absent grads
 
-    def step(self, lr: float) -> None:
-        self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+    def step(self, lr: float, t: int) -> None:
+        c1 = 1.0 - self.beta1**t
+        c2 = 1.0 - self.beta2**t
         grads = [p.grad if p.grad is not None else self._zeros[k] for k, p in self.params.items()]
         g = np.concatenate(grads, axis=None, out=self._g) if grads else self._g
         m, v = self._m, self._v
@@ -225,30 +222,14 @@ class Adam:
         for k, p in self.params.items():
             p.data -= self._update[k]
 
-    def state_dict(self) -> dict:
-        return {"kind": "adam", "t": self.t, "slots": ["m", "v"], "m": self.m, "v": self.v}
 
-    def load_state_dict(self, state: dict) -> None:
-        if state["kind"] != "adam":
-            raise ConfigError(f"cannot load {state['kind']!r} state into adam")
-        loaded = {slot: {k: np.asarray(state[slot][k], dtype=np.float64) for k in self.params}
-                  for slot in ("m", "v")}
-        for slot, arrays in loaded.items():
-            for k, arr in arrays.items():
-                if arr.shape != self.m[k].shape:
-                    raise ShapeError(f"adam {slot} of {k}: shape {arr.shape} != {self.m[k].shape}")
-        self.t = int(state["t"])
-        for slot, views in (("m", self.m), ("v", self.v)):
-            for k, arr in loaded[slot].items():
-                views[k][...] = arr
+OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
 
 
 def make_optimizer(kind: str, params: dict[str, Tensor]):
-    if kind == "adam":
-        return Adam(params)
-    if kind == "sgd":
-        return Sgd(params)
-    raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ConfigError(f"optimizer must be one of {tuple(OPTIMIZERS)}, got {kind!r}")
+    return OPTIMIZERS[kind](params)
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
@@ -298,9 +279,9 @@ def evaluate(model: ToyModel, task: TaskData) -> dict:
     total_loss = 0.0
     hits = 0
     with numerics.no_grad():
-        for lo in range(0, task.eval_count, _EVAL_BATCH):
-            tokens = task.eval_tokens[lo : lo + _EVAL_BATCH]
-            targets = task.eval_targets[lo : lo + _EVAL_BATCH]
+        for lo in range(0, task.eval_count, EVAL_BATCH):
+            tokens = task.eval_tokens[lo : lo + EVAL_BATCH]
+            targets = task.eval_targets[lo : lo + EVAL_BATCH]
             logits = model.forward(tokens)
             total_loss += _loss(logits, targets, task.is_regression).item() * len(tokens)
             hits += _accuracy(logits.data, targets, task.is_regression)
@@ -438,7 +419,7 @@ def train(
             for p in params.values():
                 p.grad = None
             loss.backward()
-            optimizer.step(lr_at(step, cfg))
+            optimizer.step(lr_at(step, cfg), step)
 
             if should_prune(step, cfg.prune):
                 pending_events += prune_event(model.adapters, cfg.prune, xbars, rngs["prune"], step)

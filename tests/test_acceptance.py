@@ -184,7 +184,7 @@ def test_criterion_06_pruned_weights_regrow():
     assert live, "constructed loss must reach the masked coordinates"
     assert all(pair.A.data[i, j] == 0.0 for i, j in pruned)
 
-    Sgd({"A": pair.A, "B": pair.B}).step(0.1)
+    Sgd({"A": pair.A, "B": pair.B}).step(0.1, 1)
     for i, j in live:
         assert pair.A.data[i, j] != 0.0
 

@@ -11,6 +11,7 @@ import io
 import json
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -26,7 +27,7 @@ import prilora
 from prilora import cli
 from prilora.cli import ABLATION_VARIANTS, ablation_config, main
 from prilora.config import parse_config_text
-from prilora.errors import ConfigError
+from prilora.errors import ConfigError, FormatError
 from prilora.model import MATRIX_KINDS
 from prilora.numerics import read_tensor
 from prilora.prune_engine import STRATEGIES
@@ -123,6 +124,18 @@ UNBUILDABLE = {
         .replace("task.train_count = 160", "task.train_count = 300")
         .replace("task.eval_count = 48", "task.eval_count = 10"),
         "token_majority yields only 80 distinct sequences with label 0"),
+    # the task's own seed feeds the same 64-bit stream as the run seed
+    "task_seed_beyond_64_bits": (
+        TINY + f"task.seed = {2**64}\n", "task seed must be an unsigned 64-bit integer"),
+    # 100000 blocks of 4·16² + 2·16·32 frozen floats, plus 8 + 8 token and position rows of 16
+    "frozen_base_over_the_cap": (
+        TINY.replace("model.layers = 2", "model.layers = 100000"),
+        "frozen base weights would take 204,800,256 floats, over the cap of 134,217,728"),
+    # an evaluation batch of 64 sequences, 2 heads, 100000² scores each
+    "attention_scores_over_the_cap": (
+        TINY.replace("task.seq_len = 8", "task.seq_len = 100000"),
+        "attention scores of one batch would take 1,280,000,000,000 floats, over the cap of "
+        "67,108,864"),
 }
 GRID_COMMANDS = {
     "validate-config": ["validate-config"],
@@ -552,6 +565,29 @@ def test_report_refuses_a_malformed_metrics_line(tmp_path, capsys, line):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert f"{run_dir / 'metrics.jsonl'}:3: not an eval point" in err[0]
+    assert not (run_dir / "metrics.tsv").exists()
+
+
+GOOD_POINT = json.loads(EvalPoint(0, 0.7, 0.5, 10, 20, []).to_json())
+
+
+@pytest.mark.parametrize("line", [
+    json.dumps(dict(GOOD_POINT, loss="x")).encode(),
+    json.dumps(dict(GOOD_POINT, prune_events=5)).encode(),
+    b"\xff\xfe not UTF-8",
+], ids=["loss_a_string", "prune_events_a_number", "not_utf8"])
+def test_metrics_line_of_the_wrong_types_is_a_format_error(tmp_path, capsys, line):
+    # both readers of a run's log, its group summary and report, name the line
+    run_dir = tmp_path / "group" / "seed_0"
+    run_dir.mkdir(parents=True)
+    (run_dir / "run.json").write_text('{"status": "complete"}')
+    good = EvalPoint(0, 0.7, 0.5, 10, 20, []).to_json().encode()
+    (run_dir / "metrics.jsonl").write_bytes(good + b"\n" + line + b"\n")
+    where = f"{run_dir / 'metrics.jsonl'}:2: not an eval point"
+    with pytest.raises(FormatError, match=re.escape(where)):
+        cli._summarize_group(run_dir.parent, (0,))
+    assert main(["report", str(run_dir)]) == 1
+    assert where in capsys.readouterr().err
     assert not (run_dir / "metrics.tsv").exists()
 
 

@@ -120,10 +120,10 @@ def test_concentrated_plan():
 
 
 def test_explicit_plan_and_validation():
-    plan = explicit_plan([1, 2, 3], budget_avg=2)
+    plan = explicit_plan([1, 2, 3])
     assert plan.ranks == (1, 2, 3)
-    with pytest.raises(BudgetError):
-        explicit_plan([1, 2, 3], budget_avg=3)
+    assert plan.budget_avg == 2
+    assert explicit_plan([1, 2, 4]).budget_avg is None  # 7 ranks over 3 layers
     with pytest.raises(RankError):
         explicit_plan([])
     with pytest.raises(RankError):
