@@ -22,7 +22,6 @@ import ctypes
 import json
 import platform
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +160,10 @@ def _run_grid(work: list[tuple[dict, int, Path]], jobs: int) -> int:
     for cfg, seed, _ in work:
         _specs(cfg, seed)
     if jobs > 1 and len(work) > 1:
+        # imported here: concurrent.futures pulls in multiprocessing, sockets and
+        # subprocess, about 2 MB that a one-run command never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_execute_run, *zip(*work)))
     else:

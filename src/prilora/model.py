@@ -208,18 +208,30 @@ class ToyModel:
         if tokens.min() < 0 or tokens.max() >= self.dims.vocab_size:
             raise ParameterError(f"token ids must lie in [0, {self.dims.vocab_size})")
 
+        # No name outlives its consumer, so without a tape each activation is
+        # freed once used; under one, the closures save what backward reads.
         x = Tensor(self.embed[tokens] + self.pos[:n])
         for i in range(len(self.blocks)):
-            q, k, v = self._apply(i, ("wq", "wk", "wv"), x, norms, sumsq, normalize=True)
-            ctx = numerics.attention(q, k, v, self.dims.num_heads)
-            (proj,) = self._apply(i, ("wo",), ctx, norms, sumsq)
-            x = x + proj
-
-            (up,) = self._apply(i, ("w1",), x, norms, sumsq, normalize=True)
-            (proj,) = self._apply(i, ("w2",), numerics.relu(up), norms, sumsq)
-            x = x + proj
-
+            x = x + self._attention(i, x, norms, sumsq)
+            x = x + self._feed_forward(i, x, norms, sumsq)
         return numerics.pooled_head(x, self.head_w, self.head_b)
+
+    def _attention(
+        self, i: int, x: Tensor, norms: str | None, sumsq: Mapping[str, np.ndarray] | None
+    ) -> Tensor:
+        """Block i's attention branch: wo over the heads of wq, wk and wv of LN(x)."""
+        ctx = numerics.attention(
+            *self._apply(i, ("wq", "wk", "wv"), x, norms, sumsq, normalize=True),
+            self.dims.num_heads,
+        )
+        return self._apply(i, ("wo",), ctx, norms, sumsq)[0]
+
+    def _feed_forward(
+        self, i: int, x: Tensor, norms: str | None, sumsq: Mapping[str, np.ndarray] | None
+    ) -> Tensor:
+        """Block i's feed-forward branch: w2 over the ReLU of w1 of LN(x)."""
+        hidden = numerics.relu(self._apply(i, ("w1",), x, norms, sumsq, normalize=True)[0])
+        return self._apply(i, ("w2",), hidden, norms, sumsq)[0]
 
     def trainable(self) -> dict[str, Tensor]:
         """Every tensor the optimizer may touch, in a stable order."""

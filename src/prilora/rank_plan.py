@@ -11,7 +11,6 @@ at equal cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BudgetError, RankError
 
@@ -89,24 +88,24 @@ def linear_plan(num_layers: int, first_rank: int, last_rank: int) -> RankPlan:
         raise RankError(
             f"last rank {last_rank} must not be below first rank {first_rank}"
         )
-    budget = Fraction(num_layers * (first_rank + last_rank), 2)
-    if budget.denominator != 1:
+    twice_budget = num_layers * (first_rank + last_rank)
+    if twice_budget % 2:
         raise BudgetError(
             f"{num_layers} layers from rank {first_rank} to {last_rank} give a "
-            f"fractional total {budget}; adjust the endpoints"
+            f"fractional total {twice_budget}/2; adjust the endpoints"
         )
     if num_layers == 1:
         if first_rank != last_rank:
             raise RankError("a single layer needs equal first and last ranks")
         return RankPlan((first_rank,))
 
-    step = Fraction(last_rank - first_rank, num_layers - 1)
-    ideal = [Fraction(first_rank) + i * step for i in range(num_layers)]
-    floors = [int(v) for v in ideal]
-    leftover = int(budget) - sum(floors)
-    # Largest fractional part wins a unit; ties go to the earlier layer.
-    order = sorted(range(num_layers), key=lambda i: (-(ideal[i] - floors[i]), i))
-    ranks = list(floors)
+    # layer i's ideal rank is first + (q + rem/(L-1)) for q, rem = divmod(i·span, L-1)
+    span, steps = last_rank - first_rank, num_layers - 1
+    parts = [divmod(i * span, steps) for i in range(num_layers)]
+    ranks = [first_rank + q for q, _ in parts]
+    leftover = twice_budget // 2 - sum(ranks)
+    # Largest remainder wins a unit; ties go to the earlier layer.
+    order = sorted(range(num_layers), key=lambda i: (-parts[i][1], i))
     for i in order[:leftover]:
         ranks[i] += 1
     return RankPlan(tuple(ranks))

@@ -51,6 +51,12 @@ class TaskData:
         return self.eval_tokens.shape[0]
 
 
+def _power_up_to(base: int, exp: int, cap: int) -> int:
+    """min(base**exp, cap) for base >= 2, without building a power longer
+    than cap: base**exp >= 2**exp > cap once exp reaches cap's bit length."""
+    return cap if exp >= cap.bit_length() else min(base**exp, cap)
+
+
 @dataclass(frozen=True)
 class SyntheticTask:
     kind: str
@@ -72,7 +78,7 @@ class SyntheticTask:
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"task seed must be an unsigned 64-bit integer, got {self.seed}")
         total = self.train_count + self.eval_count
-        if total > self.vocab_size**self.seq_len:
+        if total > _power_up_to(self.vocab_size, self.seq_len, total):
             raise ConfigError(
                 f"{self.train_count} + {self.eval_count} distinct sequences do not fit in "
                 f"{self.vocab_size}**{self.seq_len} sequences of vocab size {self.vocab_size} "
@@ -83,7 +89,7 @@ class SyntheticTask:
         # labels alternate from 0, so label 0 takes the odd one out
         for label, need in ((0, (total + 1) // 2), (1, total // 2)):
             space = 0
-            for term in self._label_space_terms(label):
+            for term in self._label_space_terms(label, need):
                 space += term
                 if space >= need:  # stop early: the full sum can be huge
                     break
@@ -99,17 +105,19 @@ class SyntheticTask:
         """The model head's width: one regression value, or two class logits."""
         return 1 if self.kind == "linear_probe" else 2
 
-    def _label_space_terms(self, label: int) -> Iterator[int]:
+    def _label_space_terms(self, label: int, cap: int) -> Iterator[int]:
         """The distinct sequences _sample can yield with this label, counted
-        per marker count: the terms sum to the whole label space."""
+        per marker count: the terms sum to the whole label space, except that
+        a term of cap or more may read as any number from cap up."""
         n, v = self.seq_len, self.vocab_size
         if self.kind == "token_majority":
             for win in range(2, n // 2 + 1):
                 for lose in range(win - 1):
-                    yield comb(n, win) * comb(n - win, lose) * (v - 2) ** (n - win - lose)
+                    fill = _power_up_to(v - 2, n - win - lose, cap)
+                    yield comb(n, win) * comb(n - win, lose) * fill
         else:  # parity_markers
             for count in (label, label + 2):
-                yield comb(n, count) * (v - 1) ** (n - count)
+                yield comb(n, count) * _power_up_to(v - 1, n - count, cap)
 
     def build(self) -> TaskData:
         """Generate both splits deterministically from the seed."""

@@ -425,11 +425,13 @@ def train(
                 pending_events += prune_event(model.adapters, cfg.prune, xbars, rngs["prune"], step)
             train_seconds += time.perf_counter() - t0
 
-            if step % cfg.eval_interval == 0 or step == cfg.steps:
+            evaluated = step % cfg.eval_interval == 0 or step == cfg.steps
+            if evaluated:
                 do_eval(step)
             if checkpoint_at == step:
-                # after this step's events and any eval point that lists them
-                mid_blob = snapshot(step)
+                # after this step's events and any eval point that lists them,
+                # which is the state an eval point here has just captured
+                mid_blob = last_good if evaluated else snapshot(step)
     finally:
         if metrics_fp is not None:
             metrics_fp.close()

@@ -136,6 +136,15 @@ UNBUILDABLE = {
         TINY.replace("task.seq_len = 8", "task.seq_len = 100000"),
         "attention scores of one batch would take 1,280,000,000,000 floats, over the cap of "
         "67,108,864"),
+    # 10**8 and 10**20 position rows of 16 floats, plus 8 token rows and the
+    # blocks' 4096: refused at once, since the task's space checks bound
+    # vocab_size**seq_len without building it
+    "seq_len_of_1e8": (
+        TINY.replace("task.seq_len = 8", f"task.seq_len = {10**8}"),
+        "frozen base weights would take 1,600,004,224 floats, over the cap"),
+    "seq_len_of_1e20": (
+        TINY.replace("task.seq_len = 8", f"task.seq_len = {10**20}"),
+        "frozen base weights would take 1,600,000,000,000,000,004,224 floats, over the cap"),
 }
 GRID_COMMANDS = {
     "validate-config": ["validate-config"],
@@ -334,6 +343,52 @@ def test_parallel_jobs_match_serial(tmp_path):
     pa = json.loads((parallel / "tiny" / "summary.json").read_text())
     assert sa == pa
     assert sa["seeds"] == [0, 1]
+
+
+# each command at --jobs 2, and the pool sizes it makes: none for one run
+@pytest.mark.parametrize("argv, pools", [
+    (["run", "--seeds", "0,1"], [2]),
+    (["run"], []),
+    (["sweep-ratio", "--ratios", "0,0.5"], [2]),
+    (["ablate"], [2]),
+])
+def test_a_pool_is_made_only_for_more_than_one_run(tmp_path, monkeypatch, argv, pools):
+    # the pool class is imported when a command builds one, so a stand-in
+    # set on concurrent.futures is the one it gets; it runs the map serially
+    import concurrent.futures
+
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = write_cfg(tmp_path / "t.cfg", TWO_STEPS)
+    argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "2"]
+    assert main(argv) == 0
+    assert made == pools
+
+
+def test_importing_the_cli_loads_no_pool_and_no_fractions():
+    # a command that trains one run never needs the process pool's modules
+    # (multiprocessing, sockets, subprocess), and rank plans are integer
+    # arithmetic
+    env = dict(os.environ, PYTHONPATH=str(Path(prilora.__file__).resolve().parents[1]))
+    code = ("import sys, prilora.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing', 'fractions') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_divergent_run_flags_incomplete_and_exits_two(tmp_path, capsys):

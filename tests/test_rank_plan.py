@@ -79,6 +79,14 @@ def test_linear_plan_properties(num_layers, first, spread):
     assert list(plan.ranks) == oracle_linear(num_layers, first, last)
 
 
+def test_linear_plan_over_many_layers_keeps_the_budget():
+    # integer remainders, no rationals: 100000 layers plan in well under a second
+    plan = linear_plan(100000, 2, 6)
+    assert plan.total == 400000 and plan.budget_avg == 4
+    assert plan.ranks[0] == 2 and plan.ranks[-1] == 6
+    assert all(a <= b for a, b in zip(plan.ranks, plan.ranks[1:]))
+
+
 def test_linear_plan_validation():
     with pytest.raises(BudgetError):
         linear_plan(3, 4, 5)  # total 13.5

@@ -1,6 +1,7 @@
 """Synthetic task generators: determinism, split hygiene, label structure."""
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,17 @@ def test_each_label_space_is_counted_exactly(kind, label, count, fits):
     data = SyntheticTask(kind, vocab_size=4, seq_len=5, train_count=fits - 1, eval_count=1).build()
     targets = np.concatenate([data.train_targets, data.eval_targets])
     assert (targets == label).sum() == count
+
+
+@pytest.mark.parametrize("kind", TASK_KINDS)
+@pytest.mark.parametrize("seq_len", [10**8, 10**20])
+def test_space_checks_of_a_huge_sequence_length_return_at_once(kind, seq_len):
+    # the checks bound vocab_size**seq_len and each label-space term by the
+    # count they must reach, never building the power itself: at 10**8 the
+    # powers took more than 30 s, and at 10**20 they raised MemoryError
+    start = time.perf_counter()
+    SyntheticTask(kind, seq_len=seq_len)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("task", [

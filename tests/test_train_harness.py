@@ -18,11 +18,12 @@ from prilora.adapter import init_adapter
 from prilora.checkpoint import capture_state
 from prilora.errors import ConfigError, FormatError, ParameterError, ShapeError, TrainingDiverged
 from prilora.model import MATRIX_KINDS, ModelDims, ToyModel
-from prilora.numerics import Rng, Tensor, fingerprint, grad_check
+from prilora.numerics import Rng, Tensor, fingerprint, grad_check, no_grad
 from prilora.prune_engine import STRATEGIES, PruneConfig, norm_widths, tracked_norms
 from prilora.rank_plan import concentrated_plan, linear_plan, uniform_plan
 from prilora.tasks import SyntheticTask, TaskData
 from prilora.train_harness import (
+    EVAL_BATCH,
     Adam,
     EvalPoint,
     RunRecord,
@@ -266,6 +267,29 @@ def test_backward_frees_the_step_as_it_goes():
     # whole graph to the end peaked at 121.7 MB
     assert forward_mb < 45.0, f"{forward_mb:.1f} MB left by forward"
     assert peak_mb < 1.15 * forward_mb, f"peak {peak_mb:.1f} MB after a {forward_mb:.1f} MB forward"
+
+
+@pytest.mark.memory
+def test_forward_without_a_tape_frees_each_activation_once_used():
+    # one evaluation batch at the golden shape: with no tape, no activation
+    # outlives the op that reads it. 1.75 MB peak here; a forward that kept
+    # q, k, v, the attention output and the FFN hidden layer to the end of
+    # their block peaked at 3.01 MB
+    golden = json.loads((Path(__file__).parent / "golden" / "learning_sanity.json").read_text())
+    dims = ModelDims(**golden["dims"])
+    plan = linear_plan(dims.num_layers, golden["plan"]["first_rank"], golden["plan"]["last_rank"])
+    model = ToyModel.build(dims, plan, Rng(golden["seed"]))
+    tokens = Rng(3).integers(0, dims.vocab_size, size=(EVAL_BATCH, dims.seq_len))
+    with no_grad():
+        model.forward(tokens)  # anything made once per process is made here
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model.forward(tokens)
+            peak_mb = (tracemalloc.get_traced_memory()[1] - before) / 2**20
+        finally:
+            tracemalloc.stop()
+    assert peak_mb < 2.25, f"{peak_mb:.2f} MB peak in one forward"
 
 
 def test_leaf_gradients_of_a_wide_step_are_c_order():
@@ -645,6 +669,11 @@ def test_each_checkpoint_is_captured_once(task, monkeypatch):
     assert [p.step for p in full.eval_points] == [0, 5, 10, 15, 20]
     assert len(blobs) == 6
     assert full.final_checkpoint is blobs[-1] and full.mid_checkpoint is blobs[2]
+    # a mid checkpoint at an eval step is that eval point's capture
+    blobs.clear()
+    at_eval = train(build_model(cfg, DIMS), task, cfg, checkpoint_at=10)
+    assert len(blobs) == 5 and at_eval.mid_checkpoint is blobs[2]
+    assert at_eval.final_checkpoint == full.final_checkpoint
     # a resume at the last step runs no step and evaluates nowhere, so the
     # final checkpoint is its one capture
     blobs.clear()
