@@ -18,9 +18,7 @@ incomplete run is named on stderr.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
-import platform
 import sys
 from pathlib import Path
 
@@ -45,7 +43,7 @@ from .errors import (
 )
 from .model import ModelDims, adapter_layout
 from .tasks import SyntheticTask
-from .train_harness import EVAL_BATCH, EvalPoint, TrainConfig, build_model, steps_to_peak, train
+from .train_harness import EVAL_BATCH, EvalPoint, TrainConfig, build_model, train
 
 __all__ = ["ABLATION_VARIANTS", "main"]
 
@@ -59,10 +57,12 @@ ABLATION_VARIANTS = (
     "prune_B_cols",
     "random_A_cols",
 )
-# caps, in float64s, on a run's frozen base weights (1 GiB) and on the
-# attention scores of one forward batch (512 MiB); every command checks them
+# caps on a run's frozen base weights (2**27 float64s, 1 GiB), the attention
+# scores of one forward batch (2**26 float64s, 512 MiB) and its task data's
+# tokens (2**27 int64s, 1 GiB); every command checks them
 MAX_BASE_FLOATS = 2**27
 MAX_SCORE_FLOATS = 2**26
+MAX_TASK_TOKENS = 2**27
 # the grid variants that keep the plan and swap the prune strategy
 _VARIANT_STRATEGY = {
     "no_pruning": "none",
@@ -76,28 +76,27 @@ _VARIANT_STRATEGY = {
 # Config -> runs (top level so worker processes can import _execute_run)
 
 
-def _check_fits(dims: ModelDims, batch_size: int) -> None:
-    """Refuse dims whose frozen base, or whose attention scores for one
-    training or evaluation batch, would take more floats than the caps."""
-    base = (dims.vocab_size + dims.seq_len) * dims.d_model + dims.num_layers * (
-        4 * dims.d_model**2 + 2 * dims.d_model * dims.d_ff)
-    scores = max(batch_size, EVAL_BATCH) * dims.num_heads * dims.seq_len**2
-    for what, count, cap in (("frozen base weights", base, MAX_BASE_FLOATS),
-                             ("attention scores of one batch", scores, MAX_SCORE_FLOATS)):
-        if count > cap:
-            raise ConfigError(f"the {what} would take {count:,} floats, over the cap of {cap:,}")
-
-
 def _specs(cfg: dict, seed: int) -> tuple[SyntheticTask, TrainConfig, ModelDims]:
     """The task spec, training config and model dims of one run of cfg.
 
     Checks all a run checks short of building data and weights, down to
-    every planned rank fitting the matrices it adapts, and refuses dims too
-    large to fit before any plan or layout is built for them.
+    every planned rank fitting the matrices it adapts, and refuses a frozen
+    base, one batch's attention scores or task data over the caps above
+    before any plan or layout is built.
     """
     task_spec = build_task(cfg, seed)
     dims = build_dims(cfg, task_spec)
-    _check_fits(dims, int(cfg["train.batch_size"]))
+    base = (dims.vocab_size + dims.seq_len) * dims.d_model + dims.num_layers * (
+        4 * dims.d_model**2 + 2 * dims.d_model * dims.d_ff)
+    scores = max(int(cfg["train.batch_size"]), EVAL_BATCH) * dims.num_heads * dims.seq_len**2
+    tokens = (task_spec.train_count + task_spec.eval_count) * dims.seq_len
+    for what, count, unit, cap in (
+        ("frozen base weights", base, "floats", MAX_BASE_FLOATS),
+        ("attention scores of one batch", scores, "floats", MAX_SCORE_FLOATS),
+        ("tokens of the task data", tokens, "int64s", MAX_TASK_TOKENS),
+    ):
+        if count > cap:
+            raise ConfigError(f"the {what} would take {count:,} {unit}, over the cap of {cap:,}")
     tcfg = build_train_config(cfg, build_plan(cfg), seed)
     adapter_layout(dims, tcfg.plan, tcfg.adapt_kinds)
     return task_spec, tcfg, dims
@@ -134,7 +133,7 @@ def _execute_run(cfg: dict, seed: int, run_dir: str | Path) -> dict:
         final_loss=record.final_loss,
         final_accuracy=record.final_accuracy,
         best_step=record.best_step,
-        steps_to_peak=steps_to_peak(record),
+        steps_to_peak=record.best_step,
         train_seconds=record.train_seconds,
         seconds_per_step=record.seconds_per_step,
         adapter_params=last.adapter_params,
@@ -482,26 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's mallopt parameters, and the values _keep_heap gives them
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_TRIM_BYTES, _MMAP_BYTES = 64 << 20, 32 << 20
-
-
-def _keep_heap() -> bool:
-    """On glibc, keep freed heap memory in the process: raise the trim
-    threshold to 64 MB and the mmap threshold to 32 MB, so the arrays each
-    training step frees are reused by the next instead of being returned to
-    the kernel and faulted back in. Elsewhere nothing is called. Returns
-    whether both settings took; pool workers inherit them through fork."""
-    if platform.libc_ver()[0] != "glibc":
-        return False
-    libc = ctypes.CDLL("libc.so.6")
-    return (libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES) == 1
-            and libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES) == 1)
-
-
 def main(argv=None) -> int:
-    _keep_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,9 +23,10 @@ is exact).
 
 The tape links gradient nodes, not tensors. A node keeps the gradient,
 ``requires_grad``, the op's backward closure and its parents' nodes; the
-tensor keeps the data and its node. Each op's closure saves only what its
-backward reads: the arrays its gradient formula needs (relu a boolean mask,
-add and the shape moves nothing but shapes), so an activation no closure
+tensor keeps the data and its node. Each op's closure saves only arrays its
+backward reads and re-forms the rest from them (adapted_linear keeps its
+input and re-forms its latent, relu keeps its output and re-forms its mask,
+add and the shape moves keep nothing but shapes), so an activation no closure
 saved is freed as soon as the forward drops its last name. A first gradient
 that an op made fresh and C-ordered becomes the node's gradient as it is;
 any other is copied to C order.
@@ -359,19 +360,17 @@ def adapted_linear(x, W0: Tensor, A: Tensor, B: Tensor, scale: float) -> Tensor:
     The leading axes of x fold into one, and the pair folds into the frozen
     weight first (d1·r·d2 multiply-adds), so the forward is one 2-D GEMM over
     x, as is dx in backward.
-    When B is to get a gradient the forward also keeps the latent x @ A^T
-    (rows x rank) for dB, formed as (latent^T @ g)^T, which OpenBLAS runs
-    faster than g^T @ latent. Backward rebuilds the merged weight from the
-    live W0, A and B rather than keep it, and forms g @ B only for dA; dA
-    and dB take their scale last, at the factors' own shapes.
-    Every multiply by scale is skipped at scale 1."""
+    The node keeps only x (for dA) and re-forms the rest in backward: the
+    merged weight from the live W0, A and B, the latent x @ A^T (rows x
+    rank) for dB, formed as (latent^T @ g)^T, which OpenBLAS runs faster
+    than g^T @ latent, and g @ B for dA; dA and dB take their scale last, at
+    the factors' own shapes. Every multiply by scale is skipped at scale 1."""
     x = _as_tensor(x)
     if x.ndim < 2:
         raise ShapeError(f"adapted_linear needs 2-D or higher input, got {x.shape}")
     x_shape, xn, an, bn = x.shape, x._node, A._node, B._node
     x2 = x.data.reshape(-1, x_shape[-1])
     data = x2 @ merged_weight(W0, A, B, scale).T
-    latent = x2 @ A.data.T if _grad_enabled and bn.requires_grad else None
     d_out = data.shape[1]
 
     def backward(g: np.ndarray) -> None:
@@ -379,6 +378,7 @@ def adapted_linear(x, W0: Tensor, A: Tensor, B: Tensor, scale: float) -> Tensor:
         if xn.requires_grad:
             _accum(xn, (g @ merged_weight(W0, A, B, scale)).reshape(x_shape), True)
         if bn.requires_grad:
+            latent = x2 @ A.data.T
             _accum(bn, _scaled((latent.T @ g).T, scale), False)
         if an.requires_grad:
             _accum(an, _scaled((g @ B.data).T @ x2, scale), True)
@@ -387,15 +387,15 @@ def adapted_linear(x, W0: Tensor, A: Tensor, B: Tensor, scale: float) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    """max(a, 0); for backward it saves where a > 0, as booleans."""
+    """max(a, 0); backward forms its mask from this output, > 0 exactly where
+    a is (NaN included), so the node keeps no array its consumer does not."""
     a = _as_tensor(a)
     an = a._node
     data = np.maximum(a.data, 0.0)
-    mask = a.data > 0.0 if _grad_enabled and an.requires_grad else None
 
     def backward(g: np.ndarray) -> None:
         # times the mask as float64: the same products, without the mixed-type loop
-        _accum(an, g * mask.astype(np.float64), True)
+        _accum(an, g * (data > 0.0).astype(np.float64), True)
 
     return _make(data, (an,), backward)
 

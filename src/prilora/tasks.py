@@ -122,6 +122,8 @@ class SyntheticTask:
     def build(self) -> TaskData:
         """Generate both splits deterministically from the seed."""
         rng = Rng(self.seed).child(f"task/{self.kind}")
+        # linear_probe's weight table: one draw per build, from its own stream
+        weights = self._probe_weights() if self.kind == "linear_probe" else None
         total = self.train_count + self.eval_count
         tokens = np.empty((total, self.seq_len), dtype=np.int64)
         raw_targets: list[float] = []
@@ -136,7 +138,11 @@ class SyntheticTask:
                     f"could not generate {total} distinct sequences; "
                     "the task space is too small for the requested counts"
                 )
-            row, target = self._sample(rng, index=made)
+            if weights is None:
+                row, target = self._sample(rng, index=made)
+            else:  # the mean of the sequence's token weights
+                row = rng.integers(0, self.vocab_size, size=self.seq_len)
+                target = float(weights[row].mean())
             key = row.tobytes()
             if key in seen:
                 continue
@@ -165,6 +171,7 @@ class SyntheticTask:
         )
 
     def _sample(self, rng: Rng, index: int) -> tuple[np.ndarray, float]:
+        """One sequence of a classification kind and its label."""
         n, v = self.seq_len, self.vocab_size
         if self.kind == "token_majority":
             # Markers 0 and 1; the label alternates so both splits stay balanced.
@@ -176,18 +183,13 @@ class SyntheticTask:
             row[slots[:win]] = label
             row[slots[win : win + lose]] = 1 - label
             return row, float(label)
-        if self.kind == "parity_markers":
-            # Marker 0 appears 0..3 times; label is the count's parity.
-            label = index % 2
-            count = int(rng.integers(0, 2)) * 2 + label
-            row = rng.integers(1, v, size=n)
-            slots = rng.permutation(n)
-            row[slots[:count]] = 0
-            return row, float(label)
-        # linear_probe: weight table fixed by the seed, shared across samples.
-        row = rng.integers(0, v, size=n)
-        weights = self._probe_weights()
-        return row, float(weights[row].mean())
+        # parity_markers: marker 0 appears 0..3 times; label is the count's parity.
+        label = index % 2
+        count = int(rng.integers(0, 2)) * 2 + label
+        row = rng.integers(1, v, size=n)
+        slots = rng.permutation(n)
+        row[slots[:count]] = 0
+        return row, float(label)
 
     def _probe_weights(self) -> np.ndarray:
         return Rng(self.seed).child("probe").normal((self.vocab_size,))

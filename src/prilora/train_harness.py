@@ -20,8 +20,10 @@ along with the prune event records the next eval point is to list.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import platform
 import time
 from dataclasses import asdict, dataclass, field
 from typing import IO
@@ -51,7 +53,6 @@ __all__ = [
     "build_model",
     "train",
     "evaluate",
-    "steps_to_peak",
 ]
 
 SCHEDULES = ("linear", "constant")
@@ -288,14 +289,22 @@ def evaluate(model: ToyModel, task: TaskData) -> dict:
     return {"loss": total_loss / task.eval_count, "accuracy": hits / task.eval_count}
 
 
-def steps_to_peak(record: RunRecord) -> int:
-    """Step of the best eval accuracy; earlier step wins a tie."""
-    best = max(record._points(), key=lambda p: (p.accuracy, -p.step))
-    return best.step
-
-
 # ---------------------------------------------------------------------------
 # The loop
+
+
+def _keep_heap() -> bool:
+    """On glibc, keep freed heap memory in the process: raise the trim
+    threshold to 64 MB and the mmap threshold to 32 MB, so the arrays each
+    training step frees are reused by the next instead of being returned to
+    the kernel and faulted back in. Elsewhere nothing is called. Returns
+    whether both settings took; they last for the process."""
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = ctypes.CDLL("libc.so.6").mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # glibc's M_TRIM_THRESHOLD is -1 and its M_MMAP_THRESHOLD -3
+    return mallopt(-1, 64 << 20) == 1 and mallopt(-3, 32 << 20) == 1
 
 
 def train(
@@ -317,7 +326,11 @@ def train(
     restart from it. A model whose adapters are not the ones cfg.adapt_kinds
     lays out over its dims and plan raises ConfigError: adapter_params counts
     that layout.
+
+    Each call first keeps freed heap memory in the process (_keep_heap), so
+    every caller trains under one allocator policy; no result depends on it.
     """
+    _keep_heap()
     if task.num_outputs != model.dims.num_outputs:
         raise ConfigError(
             f"task needs {task.num_outputs} outputs but the model head has "

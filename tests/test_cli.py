@@ -10,7 +10,6 @@ import contextlib
 import io
 import json
 import os
-import platform
 import re
 import struct
 import subprocess
@@ -145,6 +144,13 @@ UNBUILDABLE = {
     "seq_len_of_1e20": (
         TINY.replace("task.seq_len = 8", f"task.seq_len = {10**20}"),
         "frozen base weights would take 1,600,000,000,000,000,004,224 floats, over the cap"),
+    # 10**12 + 48 sequences of 64 tokens: the space holds them, memory does not
+    "task_tokens_over_the_cap": (
+        TINY.replace("task.vocab_size = 8", "task.vocab_size = 16")
+        .replace("task.seq_len = 8", "task.seq_len = 64")
+        .replace("task.train_count = 160", f"task.train_count = {10**12}"),
+        "tokens of the task data would take 64,000,000,003,072 int64s, over the cap of "
+        "134,217,728"),
 }
 GRID_COMMANDS = {
     "validate-config": ["validate-config"],
@@ -689,28 +695,14 @@ def test_console_script_is_installed(tmp_path):
 # -- the kept heap ---------------------------------------------------------------
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
-def test_keep_heap_sets_both_thresholds_on_glibc():
-    # True only when mallopt returned 1 for the trim and the mmap threshold
-    assert cli._keep_heap() is True
-
-
-def test_keep_heap_calls_nothing_on_another_libc(monkeypatch):
-    loads = []
-    monkeypatch.setattr(cli.platform, "libc_ver", lambda *a, **k: ("musl", "1.2.4"))
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda *a, **k: loads.append(a))
-    assert cli._keep_heap() is False
-    assert loads == []
-
-
 def test_run_artifacts_are_the_same_bytes_with_and_without_the_kept_heap(tmp_path):
     # each run in a fresh interpreter, as the setting lasts for the process
     cfg = write_cfg(tmp_path / "t.cfg")
     env = dict(os.environ, PYTHONPATH=str(Path(prilora.__file__).resolve().parents[1]))
-    launch = ("import sys; from prilora import cli; {}; "
+    launch = ("import sys; from prilora import cli, train_harness; {}; "
               "sys.exit(cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]))")
     runs = {}
-    for kept, patch in ((True, "pass"), (False, "cli._keep_heap = lambda: False")):
+    for kept, patch in ((True, "pass"), (False, "train_harness._keep_heap = lambda: False")):
         out = tmp_path / f"kept_{kept}"
         proc = subprocess.run([sys.executable, "-c", launch.format(patch), str(cfg), str(out)],
                               capture_output=True, text=True, env=env)

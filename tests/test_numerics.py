@@ -512,6 +512,16 @@ def test_relu_gradient_is_g_times_the_input_mask():
     assert x.grad.tobytes() == (g * (x.data > 0.0).astype(np.float64)).tobytes()
 
 
+def test_relu_mask_is_the_input_mask_at_zeros_infinities_and_nan():
+    # backward reads the mask off relu's output; it must be a > 0 bit for bit
+    # wherever max(a, 0) could differ from a
+    tiny, sub = np.finfo(np.float64).tiny, np.nextafter(0.0, 1.0)
+    a = np.array([-0.0, 0.0, tiny, -tiny, sub, -sub, np.inf, -np.inf, np.nan, -np.nan])
+    x = Tensor(a.copy(), requires_grad=True)
+    (numerics.relu(x) * Tensor(np.ones_like(a))).sum().backward()
+    assert x.grad.tobytes() == (a > 0.0).astype(np.float64).tobytes()
+
+
 def test_add_gives_its_two_parents_separate_gradients():
     a, b = (Tensor(rand((3, 4), seed), requires_grad=True) for seed in (77, 78))
     (numerics.add(a, b) * Tensor(rand((3, 4), 79))).sum().backward()

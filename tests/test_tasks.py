@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prilora.errors import ConfigError, ParameterError
+from prilora.numerics import fingerprint
 from prilora.tasks import TASK_KINDS, SyntheticTask
 
 GOLDEN_TASK = json.loads(
@@ -126,6 +127,28 @@ def test_probe_target_is_linear_in_token_identity():
     s = raw.std()
     expected = (raw - raw.mean()) / s
     assert np.abs(expected - pooled_raw).max() < 1e-12
+
+
+def test_probe_build_draws_its_weight_table_once(monkeypatch):
+    draws = []
+    table = SyntheticTask._probe_weights
+
+    def counted(self):
+        draws.append(1)
+        return table(self)
+
+    monkeypatch.setattr(SyntheticTask, "_probe_weights", counted)
+    SyntheticTask("linear_probe", vocab_size=8, seq_len=6,
+                  train_count=200, eval_count=50, seed=3).build()
+    assert len(draws) == 1
+
+
+def test_probe_build_keeps_its_arrays_bit_for_bit():
+    # pinned from the build that drew the weight table once per sequence
+    data = SyntheticTask("linear_probe", vocab_size=8, seq_len=6,
+                         train_count=200, eval_count=50, seed=3).build()
+    arrays = [data.train_tokens, data.train_targets, data.eval_tokens, data.eval_targets]
+    assert fingerprint(arrays) == "afba8aebd2ae13fe8cd264e05028f1e52977a3dae6c1c8b118d7408be7b7841b"
 
 
 @pytest.mark.parametrize("kw", [
