@@ -59,7 +59,9 @@ ABLATION_VARIANTS = (
 )
 # caps on a run's frozen base weights (2**27 float64s, 1 GiB), the attention
 # scores of one forward batch (2**26 float64s, 512 MiB) and its task data's
-# tokens (2**27 int64s, 1 GiB); every command checks them
+# tokens (2**27 int64s, 1 GiB); every command checks them. The scores are one
+# layer's: training re-forms each layer's in backward, so a step holds one
+# layer's scores at a time, not layers × scores
 MAX_BASE_FLOATS = 2**27
 MAX_SCORE_FLOATS = 2**26
 MAX_TASK_TOKENS = 2**27

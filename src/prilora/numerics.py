@@ -26,10 +26,14 @@ The tape links gradient nodes, not tensors. A node keeps the gradient,
 tensor keeps the data and its node. Each op's closure saves only arrays its
 backward reads and re-forms the rest from them (adapted_linear keeps its
 input and re-forms its latent, relu keeps its output and re-forms its mask,
-add and the shape moves keep nothing but shapes), so an activation no closure
-saved is freed as soon as the forward drops its last name. A first gradient
-that an op made fresh and C-ordered becomes the node's gradient as it is;
-any other is copied to C order.
+attention keeps q, k, v and its score rows' max and sum and re-forms its
+probabilities, add and the shape moves keep nothing but shapes), so an
+activation no closure saved is freed as soon as the forward drops its last
+name. A first gradient that an op made fresh and C-ordered becomes the
+node's gradient as it is; any other is copied to C order. So a node's
+gradient is an array nothing else holds, and a closure owns the gradient it
+is handed: relu, layer norm and softmax write theirs in place, and attention
+drops its own once it has a copy in head order.
 
 ``backward()`` uses up its graph: one backward per graph. As the reverse walk
 leaves an interior node it drops that node's gradient, its closure (and with
@@ -106,6 +110,12 @@ class _Node:
         self._backward: Callable[[np.ndarray], None] | None = None
         self._prev: tuple[_Node, ...] = ()
 
+    def take_grad(self) -> np.ndarray | None:
+        """The gradient, taken off the node: whoever receives it holds the
+        only reference."""
+        g, self.grad = self.grad, None
+        return g
+
 
 def _on_node(name: str, doc: str) -> property:
     """A Tensor property that reads and writes its node's attribute name."""
@@ -161,11 +171,12 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
 
-        One backward per graph: once an interior node's closure has run, its
-        ``grad``, closure and parent links are dropped, so interior gradients
-        and saved activations are freed during the walk. Leaves keep their
-        gradients. A later backward that reaches a released node with a
-        gradient raises ``ParameterError``."""
+        One backward per graph: an interior node's ``grad`` is taken off the
+        node and handed to its closure, which owns it and may consume it in
+        place; once the closure has run, the closure and the parent links are
+        dropped, so interior gradients and saved activations are freed during
+        the walk. Leaves keep their gradients. A later backward that reaches
+        a released node with a gradient raises ``ParameterError``."""
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar output, got shape {self.shape}")
         root = self._node
@@ -192,9 +203,9 @@ class Tensor:
             if node._backward is None:  # a leaf keeps its gradient
                 continue
             if node.grad is not None:
-                node._backward(node.grad)
-            # what the closure saved, the interior grad and the parent links go now
-            node.grad, node._backward, node._prev = None, _released, ()
+                node._backward(node.take_grad())  # the closure holds g's only reference
+            # what the closure saved and the parent links go now
+            node._backward, node._prev = _released, ()
 
     # Operator sugar; every overload routes to the module-level op.
     def __add__(self, other):
@@ -370,7 +381,11 @@ def adapted_linear(x, W0: Tensor, A: Tensor, B: Tensor, scale: float) -> Tensor:
         raise ShapeError(f"adapted_linear needs 2-D or higher input, got {x.shape}")
     x_shape, xn, an, bn = x.shape, x._node, A._node, B._node
     x2 = x.data.reshape(-1, x_shape[-1])
-    data = x2 @ merged_weight(W0, A, B, scale).T
+    try:
+        data = x2 @ merged_weight(W0, A, B, scale).T
+    except ValueError:
+        raise ShapeError(f"adapted_linear: x {x_shape}, W0 {W0.shape}, A {A.shape} and B "
+                         f"{B.shape} do not fit") from None
     d_out = data.shape[1]
 
     def backward(g: np.ndarray) -> None:
@@ -394,8 +409,8 @@ def relu(a) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward(g: np.ndarray) -> None:
-        # times the mask as float64: the same products, without the mixed-type loop
-        _accum(an, g * (data > 0.0).astype(np.float64), True)
+        g *= data > 0.0  # in place; the bool mask casts to the same 0.0 and 1.0 factors
+        _accum(an, g, True)
 
     return _make(data, (an,), backward)
 
@@ -471,30 +486,36 @@ def _row_max(a2: np.ndarray) -> np.ndarray:
     return a2.T.copy().max(axis=0)
 
 
-def _softmax_forward(a: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, with the row reductions above."""
-    n = a.shape[-1]
-    p2 = a.reshape(-1, n)
-    p2 = p2 - _row_max(p2)[:, None]
-    np.exp(p2, out=p2)
-    p2 /= _row_sums(p2)[:, None]
-    return p2.reshape(a.shape)
+def _softmax_rows(s: np.ndarray, stats=None) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax over the last axis of the C-ordered s, in place, with the row
+    reductions above: subtract each row's max, exponentiate, divide by the
+    row's sum. Returns (max, sum); handed them back as stats with the same
+    scores, it re-forms the same bits without reducing."""
+    s2 = s.reshape(-1, s.shape[-1])
+    row_max, row_sum = stats or (_row_max(s2), None)
+    s2 -= row_max[:, None]
+    np.exp(s2, out=s2)
+    if row_sum is None:
+        row_sum = _row_sums(s2)
+    s2 /= row_sum[:, None]
+    return row_max, row_sum
 
 
 def _softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The gradient at softmax's input, given g at its output p."""
+    """The gradient at softmax's input, given g at its output p, written
+    into g."""
     n = p.shape[-1]
-    gp = g * p
-    inner = _row_sums(gp.reshape(-1, n)).reshape(*p.shape[:-1], 1)
-    out = g - inner
-    out *= p
-    return out
+    inner = _row_sums((g * p).reshape(-1, n)).reshape(*p.shape[:-1], 1)
+    g -= inner
+    g *= p
+    return g
 
 
 def softmax(a) -> Tensor:
     """Softmax over the last axis."""
     a = _as_tensor(a)
-    data = _softmax_forward(a.data)
+    data = a.data.copy()
+    _softmax_rows(data)
     an = a._node
 
     def backward(g: np.ndarray) -> None:
@@ -509,7 +530,13 @@ def attention(q, k, v, heads: int) -> Tensor:
     merged back to (batch, position, width).
 
     The numpy calls and their order are the reshape/swapaxes/matmul/mul/
-    softmax composition's, so the two agree bit for bit."""
+    softmax composition's, so the two agree bit for bit. The node keeps q,
+    k and v and each score row's max and sum (batch·heads·position floats
+    each), not the (batch, heads, position, position) probabilities:
+    backward re-forms them by the same calls on the same operands, so they
+    keep their bits (FlashAttention's trade, Dao et al. 2022), and a training
+    step holds one layer's scores at a time. dq and dv are written straight
+    into the merged layout."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention needs equal 3-D q, k, v, got {q.shape}, {k.shape}, {v.shape}")
@@ -518,28 +545,38 @@ def attention(q, k, v, heads: int) -> Tensor:
         raise ShapeError(f"attention: width {d} does not split into {heads} heads")
     split, scale = (b, n, heads, d // heads), (d // heads) ** -0.5
     qh, kh, vh = (np.swapaxes(t.data.reshape(split), 1, 2) for t in (q, k, v))
-    p = qh @ np.swapaxes(kh, -1, -2)
-    p *= scale
-    p = _softmax_forward(p)
+
+    def probs(stats=None) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        p = qh @ np.swapaxes(kh, -1, -2)
+        p *= scale
+        return p, _softmax_rows(p, stats)
+
+    p, stats = probs()
     data = np.swapaxes(p @ vh, 1, 2).reshape(b, n, d)
 
-    def merge(gh: np.ndarray) -> np.ndarray:
-        return np.swapaxes(gh, 1, 2).reshape(b, n, d)
+    def merged_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = np.empty((b, n, d))
+        np.matmul(x, y, out=np.swapaxes(out.reshape(split), 1, 2))
+        return out
 
     qn, kn, vn = q._node, k._node, v._node
 
     def backward(g: np.ndarray) -> None:
         # C order, as _accum's first copy left the composition's swapped grad
         gc = np.array(np.swapaxes(g.reshape(split), 1, 2), order="C")
+        del g  # this closure's own: nothing else holds it now
+        p, _ = probs(stats)
         if qn.requires_grad or kn.requires_grad:
             gs = _softmax_backward(gc @ np.swapaxes(vh, -1, -2), p)
             gs *= scale
             if qn.requires_grad:
-                _accum(qn, merge(gs @ kh), True)
-            if kn.requires_grad:  # merge keeps this one a strided view
-                _accum(kn, merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)), False)
+                _accum(qn, merged_matmul(gs, kh), True)
+            if kn.requires_grad:  # this merge keeps a strided view
+                dk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
+                _accum(kn, np.swapaxes(dk, 1, 2).reshape(b, n, d), False)
+            del gs
         if vn.requires_grad:
-            _accum(vn, merge(np.swapaxes(p, -1, -2) @ gc), True)
+            _accum(vn, merged_matmul(np.swapaxes(p, -1, -2), gc), True)
 
     return _make(data, (qn, kn, vn), backward)
 
@@ -559,14 +596,17 @@ def _layernorm_rows(a2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _layernorm_rows_backward(g2: np.ndarray, xhat: np.ndarray, istd: np.ndarray) -> np.ndarray:
-    """The gradient at _layernorm_rows' input, given g2 at xhat."""
+    """The gradient at _layernorm_rows' input, given g2 at xhat, written
+    into g2."""
     n = g2.shape[-1]
     gm = _row_sums(g2) / n
-    gx = _row_sums(g2 * xhat) / n
-    out = g2 - gm[:, None]
-    out -= xhat * gx[:, None]
-    out *= istd[:, None]
-    return out
+    t = g2 * xhat
+    gx = _row_sums(t) / n
+    np.multiply(xhat, gx[:, None], out=t)
+    g2 -= gm[:, None]
+    g2 -= t
+    g2 *= istd[:, None]
+    return g2
 
 
 def layernorm(a, sumsq: np.ndarray | None = None) -> Tensor:
@@ -581,7 +621,11 @@ def layernorm(a, sumsq: np.ndarray | None = None) -> Tensor:
     n = a_shape[-1]
     xhat, istd, sq = _layernorm_rows(a.data.reshape(-1, n))
     if sumsq is not None:
-        np.matmul(istd * istd, sq, out=sumsq)
+        try:
+            np.matmul(istd * istd, sq, out=sumsq)
+        except ValueError:
+            raise ShapeError(f"layernorm: sumsq of shape {sumsq.shape} for input {a_shape}, "
+                             f"not ({n},)") from None
 
     def backward(g: np.ndarray) -> None:
         _accum(an, _layernorm_rows_backward(g.reshape(-1, n), xhat, istd).reshape(a_shape), True)

@@ -203,23 +203,22 @@ class Adam:
         self.params = params
         shapes = {k: p.data.shape for k, p in params.items()}
         size = sum(p.data.size for p in params.values())
-        # m, v, the gathered grads and the update
-        self._m, self._v, self._g, self._u = (np.zeros(size) for _ in range(4))
+        # m, v, and the gathered grads, which the update then overwrites
+        self._m, self._v, self._g = (np.zeros(size) for _ in range(3))
         self.slots = {"m": _views(self._m, shapes), "v": _views(self._v, shapes)}
-        self._update = _views(self._u, shapes)
-        self._zeros = {k: np.zeros(shape) for k, shape in shapes.items()}  # for absent grads
+        self._update = _views(self._g, shapes)
 
     def step(self, lr: float, t: int) -> None:
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        grads = [p.grad if p.grad is not None else self._zeros[k] for k, p in self.params.items()]
+        grads = [p.grad if p.grad is not None else np.zeros(p.data.shape) for p in self.params.values()]
         g = np.concatenate(grads, axis=None, out=self._g) if grads else self._g
         m, v = self._m, self._v
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         v *= self.beta2
         v += (1.0 - self.beta2) * (g * g)
-        np.divide(lr * (m / c1), np.sqrt(v / c2) + self.eps, out=self._u)
+        np.divide(lr * (m / c1), np.sqrt(v / c2) + self.eps, out=g)
         for k, p in self.params.items():
             p.data -= self._update[k]
 

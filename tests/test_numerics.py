@@ -266,6 +266,25 @@ def test_adapted_linear_rejects_vector_input():
         numerics.adapted_linear(Tensor(rand((4,), 63)), Tensor(rand((3, 4), 64)), A, B, 1.0)
 
 
+@pytest.mark.parametrize("x_shape, a_shape, b_shape", [
+    ((2, 3, 5), (2, 4), (3, 2)),  # x wider than W0
+    ((2, 3, 4), (2, 5), (3, 2)),  # A wider than W0
+    ((2, 3, 4), (2, 4), (3, 1)),  # B narrower than A's rank
+    ((2, 3, 4), (2, 4), (2, 2)),  # B with fewer rows than W0
+])
+def test_adapted_linear_refuses_mismatched_shapes(x_shape, a_shape, b_shape):
+    # numpy's own matmul and broadcast errors come out as the package's
+    x, A, B = (Tensor(rand(shape, 65 + i)) for i, shape in enumerate((x_shape, a_shape, b_shape)))
+    with pytest.raises(ShapeError, match=r"adapted_linear: x \(2, 3, \d\), W0 \(3, 4\)"):
+        numerics.adapted_linear(x, Tensor(rand((3, 4), 64)), A, B, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (4, 1)])
+def test_layernorm_refuses_a_sumsq_of_the_wrong_shape(shape):
+    with pytest.raises(ShapeError, match=r"sumsq of shape"):
+        numerics.layernorm(Tensor(rand((2, 3, 4), 66)), sumsq=np.empty(shape))
+
+
 def test_attention_matches_the_composition_bitwise():
     fused = attention_over_three_adapters(numerics.adapted_linear, numerics.attention)
     reference = attention_over_three_adapters(numerics.adapted_linear)
@@ -529,6 +548,25 @@ def test_add_gives_its_two_parents_separate_gradients():
     kept = b.grad.copy()
     a.grad += 1.0
     assert np.array_equal(b.grad, kept)
+
+
+def test_closures_that_consume_their_gradient_in_place_keep_the_bits():
+    # each closure owns the gradient it is handed and may write into it: one
+    # interior activation feeds relu, layernorm, both operands of add and all
+    # three of attention's inputs, and every leaf gradient keeps the bytes
+    # pinned from a tape whose closures wrote only into fresh arrays
+    rng = Rng(41)
+    x = Tensor(rng.child("x").normal((2, 5, 8)), requires_grad=True)
+    w = Tensor(rng.child("w").normal((8, 8), std=0.5), requires_grad=True)
+    hw = Tensor(rng.child("hw").normal((3, 8), std=0.5), requires_grad=True)
+    hb = Tensor(rng.child("hb").normal((3,), std=0.1), requires_grad=True)
+    h = numerics.matmul(x, w)
+    mixed = numerics.add(numerics.add(numerics.relu(h), numerics.layernorm(h)),
+                         numerics.add(numerics.add(h, h), numerics.attention(h, h, h, 2)))
+    logits = numerics.pooled_head(mixed, hw, hb)
+    numerics.softmax_cross_entropy(logits, np.array([0, 2])).backward()
+    assert numerics.fingerprint([x.grad, w.grad, hw.grad, hb.grad]) == (
+        "00e0b912103cbfbb71f2fa9d86e2d8f1fea8b319d9f2ac064977c800a9344a35")
 
 
 def test_no_grad_blocks_graph_construction():

@@ -263,13 +263,39 @@ def test_backward_frees_the_step_as_it_goes():
         tracemalloc.stop()
     held_mb, peak_mb = (after - before) / 2**20, (peak - before) / 2**20
     assert held_mb < 1.0, f"{held_mb:.2f} MB held after backward"
-    # 36.1 MB after forward and a 41.4 MB peak in backward; a tape that kept
-    # adapted_linear's latents and relu's boolean masks from the forward left
-    # 39.0 MB and peaked at 43.2 MB, one that held every activation left
-    # 63.0 MB and peaked at 68.0 MB, and holding the whole graph to the end
-    # peaked at 121.7 MB
-    assert forward_mb < 37.5, f"{forward_mb:.1f} MB left by forward"
+    # 32.4 MB after forward and a 36.7 MB peak in backward; a tape that kept
+    # each layer's attention probabilities left 36.1 MB and peaked at 41.4 MB,
+    # one that also kept adapted_linear's latents and relu's boolean masks
+    # from the forward left 39.0 MB and peaked at 43.2 MB, one that held every
+    # activation left 63.0 MB and peaked at 68.0 MB, and holding the whole
+    # graph to the end peaked at 121.7 MB
+    assert forward_mb < 33.5, f"{forward_mb:.1f} MB left by forward"
     assert peak_mb < 1.15 * forward_mb, f"peak {peak_mb:.1f} MB after a {forward_mb:.1f} MB forward"
+
+
+@pytest.mark.memory
+def test_a_long_sequence_forward_keeps_less_than_one_layers_scores():
+    # at seq_len 128 each layer's batch·heads·n² attention scores outweigh all
+    # else a training forward leaves; attention keeps only each score row's
+    # max and sum, so the tape holds less than one layer's scores, however
+    # many layers there are: 2.2 MB here, against 4 MB of scores per layer.
+    # A tape that kept every layer's probabilities left 10.0 MB
+    batch, heads, n = 8, 4, 128
+    dims = ModelDims(num_layers=2, d_model=16, num_heads=heads, d_ff=32,
+                     vocab_size=8, seq_len=n, num_outputs=2)
+    model = ToyModel.build(dims, linear_plan(2, 2, 4), Rng(17))
+    rng = Rng(5)
+    tokens, targets = rng.integers(0, 8, size=(batch, n)), rng.integers(0, 2, size=batch)
+    _loss(model.forward(tokens), targets, False).backward()  # one-off allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = _loss(model.forward(tokens), targets, False)  # holds the tape
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    layer_scores = batch * heads * n * n * 8
+    assert left < layer_scores, f"{left / 2**20:.2f} MB left against {layer_scores / 2**20:.0f} MB"
 
 
 @pytest.mark.memory
