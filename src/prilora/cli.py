@@ -47,16 +47,19 @@ from .train_harness import EVAL_BATCH, EvalPoint, TrainConfig, build_model, trai
 
 __all__ = ["ABLATION_VARIANTS", "main"]
 
-ABLATION_VARIANTS = (
-    "full",
-    "fixed",
-    "inverted",
-    "concentrated",
-    "no_pruning",
-    "prune_B_rows",
-    "prune_B_cols",
-    "random_A_cols",
-)
+# {grid variant: (its plan kind, its prune strategy)}; the grid's base plan
+# is linear, and "uniform" and "concentrated" spend its average rank
+_ABLATIONS = {
+    "full": ("linear", "prilora_A"),
+    "fixed": ("uniform", "prilora_A"),
+    "inverted": ("inverted", "prilora_A"),
+    "concentrated": ("concentrated", "prilora_A"),
+    "no_pruning": ("linear", "none"),
+    "prune_B_rows": ("linear", "B_rows"),
+    "prune_B_cols": ("linear", "B_cols"),
+    "random_A_cols": ("linear", "random_A_cols"),
+}
+ABLATION_VARIANTS = tuple(_ABLATIONS)
 # caps on a run's frozen base weights (2**27 float64s, 1 GiB), the attention
 # scores of one forward batch (2**26 float64s, 512 MiB) and its task data's
 # tokens (2**27 int64s, 1 GiB); every command checks them. The scores are one
@@ -65,13 +68,6 @@ ABLATION_VARIANTS = (
 MAX_BASE_FLOATS = 2**27
 MAX_SCORE_FLOATS = 2**26
 MAX_TASK_TOKENS = 2**27
-# the grid variants that keep the plan and swap the prune strategy
-_VARIANT_STRATEGY = {
-    "no_pruning": "none",
-    "prune_B_rows": "B_rows",
-    "prune_B_cols": "B_cols",
-    "random_A_cols": "random_A_cols",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -336,23 +332,19 @@ def ablation_config(cfg: dict, variant: str) -> dict:
         raise ConfigError(f"unknown ablation variant {variant!r}")
     if cfg["plan.kind"] != "linear":
         raise ConfigError("the ablation grid needs plan.kind = linear as its base")
-    out = dict(cfg)
-    out["prune.strategy"] = _VARIANT_STRATEGY.get(variant, "prilora_A")
-    if variant in ("fixed", "concentrated"):
-        base_plan = build_plan(cfg)
-        if base_plan.budget_avg is None:
+    kind, strategy = _ABLATIONS[variant]
+    out = {**cfg, "plan.kind": kind, "prune.strategy": strategy}
+    if kind in ("uniform", "concentrated"):
+        avg = build_plan(cfg).budget_avg
+        if avg is None:
             raise ConfigError(
                 "this ablation needs a whole-number average rank; adjust the plan endpoints"
             )
-        if variant == "fixed":
-            out["plan.kind"] = "uniform"
-            out["plan.rank"] = base_plan.budget_avg
+        if kind == "uniform":
+            out["plan.rank"] = avg
         else:
             cap = min(int(cfg["model.d_model"]), int(cfg["model.d_ff"]))
-            out["plan.kind"] = "concentrated"
-            out["plan.last_rank"] = min(3 * base_plan.budget_avg, cap)
-    elif variant == "inverted":
-        out["plan.kind"] = "inverted"
+            out["plan.last_rank"] = min(3 * avg, cap)
     return out
 
 

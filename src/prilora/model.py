@@ -90,26 +90,16 @@ def adapter_layout(
     return layout
 
 
+@dataclass(eq=False)
 class ToyModel:
-    def __init__(
-        self,
-        dims: ModelDims,
-        plan: RankPlan,
-        embed: np.ndarray,
-        pos: np.ndarray,
-        blocks: list[dict[str, Tensor]],
-        adapters: dict[str, AdapterPair],
-        head_w: Tensor,
-        head_b: Tensor,
-    ):
-        self.dims = dims
-        self.plan = plan
-        self.embed = embed
-        self.pos = pos
-        self.blocks = blocks
-        self.adapters = adapters
-        self.head_w = head_w
-        self.head_b = head_b
+    dims: ModelDims
+    plan: RankPlan
+    embed: np.ndarray
+    pos: np.ndarray
+    blocks: list[dict[str, Tensor]]
+    adapters: dict[str, AdapterPair]
+    head_w: Tensor
+    head_b: Tensor
 
     @classmethod
     def build(

@@ -377,15 +377,15 @@ def adapted_linear(x, W0: Tensor, A: Tensor, B: Tensor, scale: float) -> Tensor:
     than g^T @ latent, and g @ B for dA; dA and dB take their scale last, at
     the factors' own shapes. Every multiply by scale is skipped at scale 1."""
     x = _as_tensor(x)
-    if x.ndim < 2:
-        raise ShapeError(f"adapted_linear needs 2-D or higher input, got {x.shape}")
     x_shape, xn, an, bn = x.shape, x._node, A._node, B._node
-    x2 = x.data.reshape(-1, x_shape[-1])
-    try:
-        data = x2 @ merged_weight(W0, A, B, scale).T
-    except ValueError:
+    # exact shapes, x of 2-D or more: W0 would otherwise broadcast against B @ A
+    a, b = A.data.shape, B.data.shape
+    if len(x_shape) < 2 or not (len(a) == len(b) == 2 and b[1] == a[0]
+                                and W0.data.shape == (b[0], a[1]) and x_shape[-1] == a[1]):
         raise ShapeError(f"adapted_linear: x {x_shape}, W0 {W0.shape}, A {A.shape} and B "
-                         f"{B.shape} do not fit") from None
+                         f"{B.shape} do not fit")
+    x2 = x.data.reshape(-1, x_shape[-1])
+    data = x2 @ merged_weight(W0, A, B, scale).T
     d_out = data.shape[1]
 
     def backward(g: np.ndarray) -> None:

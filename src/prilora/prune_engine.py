@@ -11,12 +11,11 @@ optimizer state are untouched, so a weight that matters later can grow back.
 A mask is a plain uint8 array of the pruned factor's shape, 1 = pruned.
 
 The ablation strategies (random column choice, pruning B by rows or by
-columns) live here too, sharing the same mask machinery. One table,
-``_TARGETS``, says what each strategy prunes and scores with, and every
-strategy decision reads it: ``tracked_norms`` names the norms a run must
-track, ``norm_widths`` their width in each layer, and ``ablation_prune`` and
-``prune_event`` the factor they prune; ``prune_event`` prunes every adapter
-under the strategy and returns one event record per adapter.
+columns) each change one part of that rule, so each strategy is one row of
+one table, ``_TARGETS``, and every strategy decision reads it:
+``tracked_norms`` names the norms a run must track, ``norm_widths`` their
+width in each layer, and ``ablation_prune``, the one pruning path, prunes an
+adapter under any strategy; ``prune_event`` calls it for every adapter.
 """
 
 from __future__ import annotations
@@ -49,13 +48,13 @@ __all__ = [
 
 STRATEGIES = ("prilora_A", "random_A_cols", "B_rows", "B_cols", "none")
 
-# {strategy: (the factor its events prune, the norms they score its entries
-# with, None for a random choice)}; "none" prunes nothing
+# {strategy: (the factor it prunes, the norms it scores with or None for a
+# random choice, whether it prunes per column)}; "none" prunes nothing
 _TARGETS = {
-    "prilora_A": ("A", "input"),
-    "random_A_cols": ("A", None),
-    "B_rows": ("B", "latent"),
-    "B_cols": ("B", "latent"),
+    "prilora_A": ("A", "input", False),
+    "random_A_cols": ("A", None, False),
+    "B_rows": ("B", "latent", False),
+    "B_cols": ("B", "latent", True),
 }
 
 
@@ -198,20 +197,19 @@ def ablation_prune(
     cfg: PruneConfig,
     rng: Rng | None = None,
 ) -> np.ndarray:
-    """Run one of the control strategies in place of the standard A pruning.
-
-    random_A_cols ignores importance and zeroes uniformly chosen columns per
-    A row. B_rows and B_cols score B with the tracked norm of its own input
-    (the rank-dimensional latent) and zero per-row or per-column lowest
-    entries. The adapter's target factor is modified in place; the returned
-    mask records exactly what was zeroed.
+    """Prune one adapter in place under cfg.strategy; "none" has no _TARGETS
+    row and raises ConfigError. This is the one pruning path, and perfbench's
+    tracer wraps it by this name. A strategy scores its factor with its
+    tracked norms (the layer input's for A, the latent's for B) and zeroes
+    the lowest scores per row, or per column for B_cols; random_A_cols
+    zeroes uniformly chosen columns per A row, drawn from rng. Returns the
+    mask of exactly what was zeroed.
     """
-    if cfg.strategy == "prilora_A" or cfg.strategy not in _TARGETS:
+    if cfg.strategy not in _TARGETS:
         raise ConfigError(
-            f"strategy {cfg.strategy!r} is not an ablation pruner; "
-            "expected random_A_cols, B_rows, or B_cols"
+            f"strategy {cfg.strategy!r} prunes nothing; expected one of {tuple(_TARGETS)}"
         )
-    factor, norms = _TARGETS[cfg.strategy]
+    factor, norms, per_column = _TARGETS[cfg.strategy]
     target = getattr(adapter, factor).data
     if norms is None:
         if rng is None:
@@ -221,7 +219,7 @@ def ablation_prune(
         mask = np.zeros(target.shape, dtype=np.uint8)
         for i in range(rows):
             mask[i, rng.permutation(width)[:n]] = 1
-    elif cfg.strategy == "B_cols":
+    elif per_column:
         mask = build_mask(importance(target, xbar_for_target).T, cfg.prune_ratio).T
     else:
         mask = build_mask(importance(target, xbar_for_target), cfg.prune_ratio)
@@ -246,11 +244,7 @@ def prune_event(
     """
     events: list[dict] = []
     for name, pair in adapters.items():
-        if cfg.strategy == "prilora_A":
-            mask = build_mask(importance(pair.A.data, xbars.get(name)), cfg.prune_ratio)
-            pair.A.data[...] = apply_mask(pair.A.data, mask)
-        else:
-            mask = ablation_prune(pair, xbars.get(name), cfg, rng)
+        mask = ablation_prune(pair, xbars.get(name), cfg, rng)
         pruned = getattr(pair, _TARGETS[cfg.strategy][0]).data
         events.append(
             {

@@ -418,16 +418,14 @@ def train(
                     # exploded activations surface in the norm statistics
                     # before the loss itself goes non-finite
                     raise TrainingDiverged(step, last_good)
+                # the first observation starts the EMA (decay 0 keeps every
+                # bit of it: 0 * 0 + 1 * obs), or steps it from zeros
+                first = step == 1 and cfg.ema_init_first_batch
+                ema_update(ema, obs, 0.0 if first else cfg.ema_decay)
             loss = _loss(logits, targets, task.is_regression)
             loss_val = loss.item()
             if not math.isfinite(loss_val):
                 raise TrainingDiverged(step, last_good)
-            if xbars:
-                # the first observation starts the EMA, or steps it from zeros
-                if step == 1 and cfg.ema_init_first_batch:
-                    ema[...] = obs
-                else:
-                    ema_update(ema, obs, cfg.ema_decay)
             for p in params.values():
                 p.grad = None
             loss.backward()

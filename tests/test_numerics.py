@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import weakref
 
 import numpy as np
@@ -273,10 +274,17 @@ def test_adapted_linear_rejects_vector_input():
     ((2, 3, 4), (2, 4), (2, 2)),  # B with fewer rows than W0
 ])
 def test_adapted_linear_refuses_mismatched_shapes(x_shape, a_shape, b_shape):
-    # numpy's own matmul and broadcast errors come out as the package's
     x, A, B = (Tensor(rand(shape, 65 + i)) for i, shape in enumerate((x_shape, a_shape, b_shape)))
     with pytest.raises(ShapeError, match=r"adapted_linear: x \(2, 3, \d\), W0 \(3, 4\)"):
         numerics.adapted_linear(x, Tensor(rand((3, 4), 64)), A, B, 1.0)
+
+
+@pytest.mark.parametrize("w0_shape", [(1, 4), (4,)])
+def test_adapted_linear_refuses_a_frozen_weight_that_would_broadcast(w0_shape):
+    # W0 + B @ A would broadcast to (5, 4) and return a (2, 3, 5) output
+    x, A, B = Tensor(rand((2, 3, 4), 67)), Tensor(rand((2, 4), 68)), Tensor(rand((5, 2), 69))
+    with pytest.raises(ShapeError, match=re.escape(f"W0 {w0_shape}, A (2, 4) and B (5, 2)")):
+        numerics.adapted_linear(x, Tensor(rand(w0_shape, 64)), A, B, 1.0)
 
 
 @pytest.mark.parametrize("shape", [(3,), (5,), (4, 1)])

@@ -1,4 +1,4 @@
-"""Norm tracking, importance scores, masks, cadence, and ablation pruners."""
+"""Norm tracking, importance scores, masks, cadence, and every pruning strategy."""
 
 import numpy as np
 import pytest
@@ -223,7 +223,7 @@ def test_prune_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# Ablation pruners
+# ablation_prune under each strategy
 
 
 def test_random_a_cols_zeroes_exact_count_per_row():
@@ -275,10 +275,14 @@ def test_b_cols_keeps_highest_scores_per_column():
     )
 
 
-def test_ablation_prune_rejects_standard_strategy():
-    pair = init_adapter(4, 6, 2, Rng(21))
-    with pytest.raises(ConfigError):
-        ablation_prune(pair, np.zeros(6), PruneConfig(0.5, 40, "prilora_A"), Rng(0))
+def test_ablation_prune_under_prilora_a_zeroes_exactly_the_importance_mask():
+    pair = init_adapter(5, 9, 3, Rng(21))
+    xbar = np.abs(Rng(22).normal((9,)))
+    A, B = pair.A.data.copy(), pair.B.data.copy()
+    mask = ablation_prune(pair, xbar, PruneConfig(0.5, 40, "prilora_A"), None)
+    assert np.array_equal(mask, build_mask(importance(A, xbar), 0.5))
+    assert np.array_equal(pair.A.data, np.where(mask == 1, 0.0, A))
+    assert np.array_equal(pair.B.data, B)
 
 
 def test_pruning_under_none_is_a_config_error():
