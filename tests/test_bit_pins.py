@@ -2,7 +2,9 @@
 
 Each row of ``ROWS`` is one path through training (prune strategy, task kind,
 optimizer, rank plan, adapted kinds, schedule, EMA start, resume), run for 40
-steps at ablation-grid size: 2 layers, d_model 16, seq 8. A row pins
+steps at ablation-grid size: 2 layers, d_model 16, seq 8. The ``wide`` row is
+the benchmark's ``wide`` shape instead: 4 layers, d_model 128, seq 32, batch
+32, 8 steps, pruning off. A row pins
 ``repr`` of the final eval loss and a ``numerics.fingerprint`` of the trained
 parameters, the EMA and the optimizer slots. Those arrays are read back from
 the final checkpoint by ``restore_state`` into a fresh model, so a change of
@@ -51,7 +53,8 @@ BASE = {
 }
 
 # {row: config keys it sets over BASE}; "resume" reruns "prilora_A" from
-# its step-25 checkpoint, so the two rows must pin the same bits
+# its step-25 checkpoint, so the two rows must pin the same bits, and "wide"
+# is perfbench's wide workload at full scale
 ROWS = {
     "prilora_A": {"task.kind": "token_majority", "prune.strategy": "prilora_A"},
     "random_A_cols": {"task.kind": "parity_markers", "prune.strategy": "random_A_cols"},
@@ -62,6 +65,13 @@ ROWS = {
     "ema_first_batch": {"train.ema_init_first_batch": True, "train.warmup_steps": 10},
     "none": {"task.kind": "linear_probe", "prune.strategy": "none"},
     "resume": {"task.kind": "token_majority", "prune.strategy": "prilora_A"},
+    "wide": {
+        "task.kind": "token_majority", "task.vocab_size": 32, "task.seq_len": 32,
+        "task.train_count": 512, "task.eval_count": 128, "model.layers": 4,
+        "model.d_model": 128, "model.heads": 4, "model.d_ff": 256, "plan.first_rank": 4,
+        "plan.last_rank": 16, "prune.strategy": "none", "train.steps": 8,
+        "train.batch_size": 32, "train.eval_interval": 4,
+    },
 }
 
 
