@@ -105,8 +105,6 @@ def forward(W0: Tensor, adapter: AdapterPair | None, x: Tensor) -> Tensor:
     frozen layer alone.
     """
     _check_fit(W0, adapter)
-    if x.shape[-1] != W0.shape[1]:
-        raise ShapeError(f"input width {x.shape[-1]} does not match layer width {W0.shape[1]}")
     if adapter is None:
         return numerics.matmul(x, W0.transpose())
     return numerics.adapted_linear(x, W0, adapter.A, adapter.B, adapter.scale)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .errors import (
     RankError,
     TrainingDiverged,
 )
-from .model import ModelDims, adapter_layout
+from .model import MATRIX_KINDS, ModelDims, adapter_layout, matrix_shape
 from .tasks import SyntheticTask
 from .train_harness import EVAL_BATCH, EvalPoint, TrainConfig, build_model, train
 
@@ -84,8 +85,8 @@ def _specs(cfg: dict, seed: int) -> tuple[SyntheticTask, TrainConfig, ModelDims]
     """
     task_spec = build_task(cfg, seed)
     dims = build_dims(cfg, task_spec)
-    base = (dims.vocab_size + dims.seq_len) * dims.d_model + dims.num_layers * (
-        4 * dims.d_model**2 + 2 * dims.d_model * dims.d_ff)
+    base = (dims.vocab_size + dims.seq_len) * dims.d_model + dims.num_layers * sum(
+        math.prod(matrix_shape(kind, dims)) for kind in MATRIX_KINDS)
     scores = max(int(cfg["train.batch_size"]), EVAL_BATCH) * dims.num_heads * dims.seq_len**2
     tokens = (task_spec.train_count + task_spec.eval_count) * dims.seq_len
     for what, count, unit, cap in (
@@ -131,7 +132,6 @@ def _execute_run(cfg: dict, seed: int, run_dir: str | Path) -> dict:
         final_loss=record.final_loss,
         final_accuracy=record.final_accuracy,
         best_step=record.best_step,
-        steps_to_peak=record.best_step,
         train_seconds=record.train_seconds,
         seconds_per_step=record.seconds_per_step,
         adapter_params=last.adapter_params,
@@ -161,7 +161,8 @@ def _run_grid(work: list[tuple[dict, int, Path]], jobs: int) -> int:
         # subprocess, about 2 MB that a one-run command never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # sized by the runs: under fork the pool starts every worker at once
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             results = list(pool.map(_execute_run, *zip(*work)))
     else:
         results = [_execute_run(*item) for item in work]
@@ -371,7 +372,7 @@ def cmd_ablate(args) -> int:
         rows.append(
             f"{variant}\t{run['status']}\t{run['final_loss']:.10g}"
             f"\t{run['final_accuracy']:.10g}\t{run['adapter_params']}"
-            f"\t{run['nonzero_params_final']}\t{run['steps_to_peak']}"
+            f"\t{run['nonzero_params_final']}\t{run['best_step']}"
         )
     _write_json(grid_dir / "grid.json", {"base_seed": base_seed, "variants": grid})
     _write_table(grid_dir / "ablate.tsv", rows)

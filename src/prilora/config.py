@@ -175,7 +175,7 @@ def load_config(path, env: Mapping[str, str] | None = None) -> dict[str, object]
     try:
         with open(path, "r", encoding="utf-8") as fp:
             text = fp.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     cfg = parse_config_text(text, source=str(path))
     return apply_env_overrides(cfg, env)

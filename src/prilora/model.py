@@ -16,7 +16,8 @@ merge) and projects the merged heads through wo. Sequence output is
 mean-pooled, normalized, and mapped to logits by the head, all in one tape
 node (``numerics.pooled_head``). When a run tracks input norms, the layer
 norms that feed wq/wk/wv and w1 hand over their output's sum of squares,
-taken from the squares their variance formed.
+taken from the squares their variance formed; ``numerics.batch_sum_squares``
+sums the rest. Nothing here imports pruning; the caller hands in the vectors.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import numerics, prune_engine
+from . import numerics
 from .adapter import AdapterPair, forward as adapter_forward, init_adapter
 from .errors import ConfigError, ParameterError, RankError, ShapeError
 from .numerics import Rng, Tensor
@@ -157,14 +158,14 @@ class ToyModel:
         if normalize:
             x = numerics.layernorm(x, sumsq=sums[0] if sums else None)
         elif sums:
-            prune_engine.batch_sum_squares(x.data, out=sums[0])
+            numerics.batch_sum_squares(x.data, out=sums[0])
         for out in sums[1:]:
             out[...] = sums[0]  # wq, wk and wv read one activation: one sum, shared
         if norms == "latent":
             x2 = x.data.reshape(-1, x.shape[-1])
             for name in adapted:
                 # the latent entering B; recomputed outside the gradient tape
-                prune_engine.batch_sum_squares(x2 @ self.adapters[name].A.data.T, out=sumsq[name])
+                numerics.batch_sum_squares(x2 @ self.adapters[name].A.data.T, out=sumsq[name])
         block = self.blocks[i]
         return [
             adapter_forward(block[kind], self.adapters.get(name), x)

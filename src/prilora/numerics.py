@@ -76,6 +76,7 @@ __all__ = [
     "tensor_to_bytes",
     "read_tensor",
     "fingerprint",
+    "batch_sum_squares",
 ]
 
 _grad_enabled: bool = True
@@ -484,6 +485,13 @@ def _row_sums(a2: np.ndarray) -> np.ndarray:
 
 def _row_max(a2: np.ndarray) -> np.ndarray:
     return a2.T.copy().max(axis=0)
+
+
+def batch_sum_squares(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-feature sum of squares over every axis but the last, written to
+    out when given; the column sums run as one GEMV."""
+    arr = arr.reshape(-1, arr.shape[-1])
+    return np.matmul(ones(arr.shape[0]), arr * arr, out=out)
 
 
 def _softmax_rows(s: np.ndarray, stats=None) -> tuple[np.ndarray, np.ndarray]:

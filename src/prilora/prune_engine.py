@@ -3,10 +3,12 @@
 Each adapted layer tracks an exponential moving average of its input's
 per-feature L2 norms: a plain nonnegative vector, kept by the caller in one
 ``{layer name: vector}`` dict and stepped by ``ema_update`` with the run's
-decay (``TrainConfig.ema_decay``, its one home). At every prune event the
-engine scores each entry of the A factor as |A_ij| times the tracked norm of
-column j, then zeroes the lowest-scoring n entries of every row, where n is
-set by the prune ratio. Zeroed entries stay trainable: gradients and
+decay (``TrainConfig.ema_decay``, its one home). The model's forward sums the
+squares (``numerics.batch_sum_squares``, or layer norm's own);
+``batch_input_norm`` is the checked square root of one. At every prune event
+the engine scores each entry of the A factor as |A_ij| times the tracked norm
+of column j, then zeroes the lowest-scoring n entries of every row, where n
+is set by the prune ratio. Zeroed entries stay trainable: gradients and
 optimizer state are untouched, so a weight that matters later can grow back.
 A mask is a plain uint8 array of the pruned factor's shape, 1 = pruned.
 
@@ -26,14 +28,14 @@ from typing import Mapping
 
 import numpy as np
 
+from . import numerics
 from .adapter import AdapterPair, nonzero_param_count
 from .errors import ConfigError, NumericError, ParameterError, ShapeError
-from .numerics import Rng, Tensor, ones
+from .numerics import Rng, Tensor
 
 __all__ = [
     "PruneConfig",
     "STRATEGIES",
-    "batch_sum_squares",
     "batch_input_norm",
     "ema_update",
     "importance",
@@ -86,21 +88,13 @@ class PruneConfig:
             )
 
 
-def batch_sum_squares(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-feature sum of squares over every axis but the last, written to
-    out when given; the column sums run as one GEMV. Its square root is
-    batch_input_norm, without the checks."""
-    arr = arr.reshape(-1, arr.shape[-1])
-    return np.matmul(ones(arr.shape[0]), arr * arr, out=out)
-
-
 def batch_input_norm(X) -> np.ndarray:
     """Per-feature L2 norm of a batch: sqrt of summed squares over batch and
     position axes. 2-D input is treated as a single-sequence batch."""
     arr = X.data if isinstance(X, Tensor) else np.asarray(X, dtype=np.float64)
     if arr.ndim not in (2, 3):
         raise ShapeError(f"expected (batch, position, feature) input, got shape {arr.shape}")
-    out = np.sqrt(batch_sum_squares(arr))
+    out = np.sqrt(numerics.batch_sum_squares(arr))
     if not np.isfinite(out).all():
         # any nan or inf in the input survives the sum of squares
         raise NumericError("batch input contains non-finite values")

@@ -20,13 +20,13 @@ along with the prune event records the next eval point is to list.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import json
 import math
 import platform
 import time
 from dataclasses import asdict, dataclass, field
-from typing import IO
 
 import numpy as np
 
@@ -367,43 +367,39 @@ def train(
             f"checkpoint_at must lie in [{start_step + 1}, {cfg.steps}], got {checkpoint_at}"
         )
 
-    eval_points: list[EvalPoint] = []
-    train_seconds = 0.0
-    best_blob: bytes | None = None
+    # the record each eval point fills: its snapshot is the final checkpoint
+    # and the last good state a divergence carries, until the next one
+    record = RunRecord(eval_points=[], steps=cfg.steps, train_seconds=0.0, final_checkpoint=None,
+                       best_checkpoint=None, best_step=start_step, start_step=start_step)
     best_acc = -math.inf
-    best_step = start_step
-    last_good: bytes | None = None
-    mid_blob: bytes | None = None
 
-    metrics_fp: IO[str] | None = open(metrics_path, "w") if metrics_path else None
+    with open(metrics_path, "w") if metrics_path else contextlib.nullcontext() as metrics_fp:
+        def snapshot(step: int) -> bytes:
+            return checkpoint_mod.capture_state(
+                model, optimizer, xbars, cfg, step, rngs, task_digest, pending_events
+            )
 
-    def snapshot(step: int) -> bytes:
-        return checkpoint_mod.capture_state(
-            model, optimizer, xbars, cfg, step, rngs, task_digest, pending_events
-        )
+        def do_eval(step: int) -> None:
+            nonlocal best_acc, pending_events
+            metrics = evaluate(model, task)
+            point = EvalPoint(
+                step=step,
+                loss=metrics["loss"],
+                accuracy=metrics["accuracy"],
+                nonzero_params=nonzero_param_count(model.adapters.values()),
+                adapter_params=adapter_params,
+                prune_events=pending_events,
+            )
+            pending_events = []
+            record.eval_points.append(point)
+            if metrics_fp is not None:
+                metrics_fp.write(point.to_json() + "\n")
+                metrics_fp.flush()
+            record.final_checkpoint = snapshot(step)
+            if point.accuracy > best_acc:
+                best_acc, record.best_step = point.accuracy, step
+                record.best_checkpoint = record.final_checkpoint
 
-    def do_eval(step: int) -> None:
-        nonlocal best_blob, best_acc, best_step, last_good, pending_events
-        metrics = evaluate(model, task)
-        point = EvalPoint(
-            step=step,
-            loss=metrics["loss"],
-            accuracy=metrics["accuracy"],
-            nonzero_params=nonzero_param_count(model.adapters.values()),
-            adapter_params=adapter_params,
-            prune_events=pending_events,
-        )
-        pending_events = []
-        eval_points.append(point)
-        if metrics_fp is not None:
-            metrics_fp.write(point.to_json() + "\n")
-            metrics_fp.flush()
-        blob = snapshot(step)
-        last_good = blob
-        if point.accuracy > best_acc:
-            best_acc, best_step, best_blob = point.accuracy, step, blob
-
-    try:
         if start_step == 0:
             do_eval(0)
         for step in range(start_step + 1, cfg.steps + 1):
@@ -417,7 +413,7 @@ def train(
                 if not np.isfinite(obs).all():
                     # exploded activations surface in the norm statistics
                     # before the loss itself goes non-finite
-                    raise TrainingDiverged(step, last_good)
+                    raise TrainingDiverged(step, record.final_checkpoint)
                 # the first observation starts the EMA (decay 0 keeps every
                 # bit of it: 0 * 0 + 1 * obs), or steps it from zeros
                 first = step == 1 and cfg.ema_init_first_batch
@@ -425,7 +421,7 @@ def train(
             loss = _loss(logits, targets, task.is_regression)
             loss_val = loss.item()
             if not math.isfinite(loss_val):
-                raise TrainingDiverged(step, last_good)
+                raise TrainingDiverged(step, record.final_checkpoint)
             for p in params.values():
                 p.grad = None
             loss.backward()
@@ -433,7 +429,7 @@ def train(
 
             if should_prune(step, cfg.prune):
                 pending_events += prune_event(model.adapters, cfg.prune, xbars, rngs["prune"], step)
-            train_seconds += time.perf_counter() - t0
+            record.train_seconds += time.perf_counter() - t0
 
             evaluated = step % cfg.eval_interval == 0 or step == cfg.steps
             if evaluated:
@@ -441,24 +437,10 @@ def train(
             if checkpoint_at == step:
                 # after this step's events and any eval point that lists them,
                 # which is the state an eval point here has just captured
-                mid_blob = last_good if evaluated else snapshot(step)
-    finally:
-        if metrics_fp is not None:
-            metrics_fp.close()
+                record.mid_checkpoint = record.final_checkpoint if evaluated else snapshot(step)
 
-    # the last step always evaluates, so last_good already holds step cfg.steps
-    # unless no step ran: a resume at cfg.steps
-    final_blob = last_good if last_good is not None else snapshot(cfg.steps)
-    if best_blob is None:
-        best_blob = final_blob
-        best_step = cfg.steps
-    return RunRecord(
-        eval_points=eval_points,
-        steps=cfg.steps,
-        train_seconds=train_seconds,
-        final_checkpoint=final_blob,
-        best_checkpoint=best_blob,
-        best_step=best_step,
-        mid_checkpoint=mid_blob,
-        start_step=start_step,
-    )
+    # the last step evaluates, so only a resume at cfg.steps has no eval point;
+    # its best step is its start
+    if record.final_checkpoint is None:
+        record.final_checkpoint = record.best_checkpoint = snapshot(cfg.steps)
+    return record

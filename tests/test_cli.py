@@ -25,12 +25,12 @@ from hypothesis import strategies as st
 import prilora
 from prilora import cli
 from prilora.cli import ABLATION_VARIANTS, ablation_config, main
-from prilora.config import parse_config_text
+from prilora.config import DEFAULTS, parse_config_text
 from prilora.errors import ConfigError, FormatError
 from prilora.model import MATRIX_KINDS
 from prilora.numerics import read_tensor
 from prilora.prune_engine import STRATEGIES
-from prilora.train_harness import EvalPoint
+from prilora.train_harness import EvalPoint, build_model
 
 TINY = """\
 config_version = 1
@@ -257,6 +257,37 @@ def test_missing_config_file_is_a_config_error(capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(TINY.replace("name = tiny", "name = caf\xe9").encode("latin-1"))
+    assert main(["validate-config", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config ") and str(cfg) in err
+    assert "Traceback" not in err
+
+
+# golden dims, and the benchmark's wide dims: 4 layers, d_model 128, d_ff 256
+BASE_DIMS = {
+    "golden": {},
+    "wide": {"task.vocab_size": 32, "task.seq_len": 32, "model.layers": 4,
+             "model.d_model": 128, "model.heads": 4, "model.d_ff": 256,
+             "plan.first_rank": 4, "plan.last_rank": 16},
+}
+
+
+@pytest.mark.parametrize("dims", sorted(BASE_DIMS))
+def test_the_frozen_base_estimate_is_exact(monkeypatch, dims):
+    # the cap check counts the floats the built model's base holds, no more
+    cfg = {**DEFAULTS, **BASE_DIMS[dims]}
+    _, tcfg, model_dims = cli._specs(cfg, 17)
+    floats = sum(a.size for a in build_model(tcfg, model_dims).base_arrays())
+    monkeypatch.setattr(cli, "MAX_BASE_FLOATS", floats)
+    cli._specs(cfg, 17)
+    monkeypatch.setattr(cli, "MAX_BASE_FLOATS", floats - 1)
+    with pytest.raises(ConfigError, match=f"frozen base weights would take {floats:,} floats"):
+        cli._specs(cfg, 17)
+
+
 def test_usage_errors_map_to_exit_one(tmp_path, capsys):
     assert main([]) == 1
     assert main(["run"]) == 1  # --config is required
@@ -351,16 +382,12 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert sa["seeds"] == [0, 1]
 
 
-# each command at --jobs 2, and the pool sizes it makes: none for one run
-@pytest.mark.parametrize("argv, pools", [
-    (["run", "--seeds", "0,1"], [2]),
-    (["run"], []),
-    (["sweep-ratio", "--ratios", "0,0.5"], [2]),
-    (["ablate"], [2]),
-])
-def test_a_pool_is_made_only_for_more_than_one_run(tmp_path, monkeypatch, argv, pools):
-    # the pool class is imported when a command builds one, so a stand-in
-    # set on concurrent.futures is the one it gets; it runs the map serially
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each pool a command makes. The pool class is
+    imported when a command builds one, so a stand-in set on
+    concurrent.futures is the one it gets; it runs the map serially and
+    starts no process."""
     import concurrent.futures
 
     made = []
@@ -378,10 +405,33 @@ def test_a_pool_is_made_only_for_more_than_one_run(tmp_path, monkeypatch, argv, 
         map = staticmethod(map)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return made
+
+
+# each command at --jobs 2, and the pool sizes it makes: none for one run
+@pytest.mark.parametrize("argv, pools", [
+    (["run", "--seeds", "0,1"], [2]),
+    (["run"], []),
+    (["sweep-ratio", "--ratios", "0,0.5"], [2]),
+    (["ablate"], [2]),
+])
+def test_a_pool_is_made_only_for_more_than_one_run(tmp_path, pool_sizes, argv, pools):
     cfg = write_cfg(tmp_path / "t.cfg", TWO_STEPS)
     argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "2"]
     assert main(argv) == 0
-    assert made == pools
+    assert pool_sizes == pools
+
+
+# --jobs far over the run count: the pool holds one worker per run
+@pytest.mark.parametrize("argv, pools", [
+    (["run", "--seeds", "0,1,2"], [3]),
+    (["ablate"], [len(ABLATION_VARIANTS)]),
+])
+def test_the_pool_is_no_larger_than_its_runs(tmp_path, pool_sizes, argv, pools):
+    cfg = write_cfg(tmp_path / "t.cfg", TWO_STEPS)
+    argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "500"]
+    assert main(argv) == 0
+    assert pool_sizes == pools
 
 
 def test_importing_the_cli_loads_no_pool_and_no_fractions():

@@ -708,6 +708,7 @@ def test_each_checkpoint_is_captured_once(task, monkeypatch):
     blobs.clear()
     again = train(build_model(cfg, DIMS), task, cfg, resume_from=full.final_checkpoint)
     assert len(blobs) == 1 and again.final_checkpoint == full.final_checkpoint
+    assert again.best_checkpoint is again.final_checkpoint and again.best_step == 20
 
 
 def test_resumed_event_records_equal_the_uninterrupted_runs(task):
@@ -845,7 +846,7 @@ def test_eval_point_json_round_trip():
 
 def test_best_step_is_the_earliest_eval_step_of_the_top_accuracy(task, monkeypatch):
     # a later tie does not replace the best, so best_step is the earliest
-    # step of the peak, which run.json reports as steps_to_peak
+    # step of the peak, which run.json and ablate.tsv report
     accuracies = iter([0.5, 0.9, 0.95, 0.95, 0.93])
     monkeypatch.setattr(train_harness, "evaluate",
                         lambda model, task: {"loss": 0.5, "accuracy": next(accuracies)})
