@@ -90,8 +90,9 @@ def capture_state(
 
 
 def _flat(obj, prefix: str = "") -> dict:
-    """{dotted path: value} for every leaf of nested mappings."""
-    if not isinstance(obj, dict):
+    """{dotted path: value} for every leaf of nested mappings; an empty
+    mapping is a leaf, so a field holding one is a field."""
+    if not isinstance(obj, dict) or not obj:
         return {prefix: obj}
     out: dict = {}
     for key, value in obj.items():
@@ -199,7 +200,7 @@ def restore_state(
     for tag, state in saved_rng.items():
         try:
             Rng(0).set_state(state)  # a scratch stream, so a bad state fails before any write
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"checkpoint rng state {tag!r}: {exc!r}") from None
 
     # writes start here

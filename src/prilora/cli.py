@@ -117,8 +117,7 @@ def _execute_run(cfg: dict, seed: int, run_dir: str | Path) -> dict:
     try:
         record = train(model, task, tcfg, metrics_path=run_path / "metrics.jsonl")
     except TrainingDiverged as exc:
-        if exc.last_good_checkpoint is not None:
-            (run_path / "last_good.ckpt").write_bytes(exc.last_good_checkpoint)
+        (run_path / "last_good.ckpt").write_bytes(exc.last_good_checkpoint)
         summary.update(status="incomplete", error=str(exc), failed_step=exc.step)
         _write_json(run_path / "run.json", summary)
         return summary
@@ -148,6 +147,17 @@ def _execute_run(cfg: dict, seed: int, run_dir: str | Path) -> dict:
 
 def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_tsv(path: Path, header: tuple[str, ...], rows, echo: bool = False) -> None:
+    """A header line, then one tab-separated line per row: a float cell as
+    %.10g, any other cell as str(). echo copies the file to stdout."""
+    lines = [header] + [[f"{c:.10g}" if isinstance(c, float) else str(c) for c in row]
+                        for row in rows]
+    text = "".join("\t".join(line) + "\n" for line in lines)
+    path.write_text(text, encoding="utf-8")
+    if echo:
+        print(text, end="")
 
 
 def _run_grid(work: list[tuple[dict, int, Path]], jobs: int) -> int:
@@ -186,7 +196,7 @@ def _read_points(metrics_path: Path) -> list[EvalPoint]:
             line = raw.decode("utf-8")
             if line.strip():
                 points.append(EvalPoint.from_json(line))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, RecursionError) as exc:
             raise FormatError(f"{metrics_path}:{lineno}: not an eval point: {exc}") from None
     return points
 
@@ -235,11 +245,9 @@ def _summarize_group(group_dir: Path, seeds: tuple[int, ...]) -> dict | None:
 
 def _write_summary(group_dir: Path, summary: dict) -> None:
     _write_json(group_dir / "summary.json", summary)
-    lines = ["metric\tmean\tstd"]
-    for metric in ("final_loss", "final_accuracy", "best_accuracy"):
-        entry = summary[metric]
-        lines.append(f"{metric}\t{entry['mean']:.10g}\t{entry['std']:.10g}")
-    (group_dir / "summary.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_tsv(group_dir / "summary.tsv", ("metric", "mean", "std"),
+               [(metric, summary[metric]["mean"], summary[metric]["std"])
+                for metric in ("final_loss", "final_accuracy", "best_accuracy")])
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +274,6 @@ def _load(args) -> tuple[dict, tuple[int, ...], Path]:
         raise ConfigError("experiment name must be non-empty")
     group_dir = Path(getattr(args, "out", ".")) / str(cfg["name"])
     return cfg, _parse_seeds(args.seeds, cfg), group_dir
-
-
-def _write_table(path: Path, rows: list[str]) -> None:
-    """Write rows, one per line, and echo the file to stdout."""
-    text = "\n".join(rows) + "\n"
-    path.write_text(text, encoding="utf-8")
-    print(text, end="")
 
 
 def cmd_run(args) -> int:
@@ -311,19 +312,17 @@ def cmd_sweep_ratio(args) -> int:
         for seed in seeds
     ]
     failed = _run_grid(work, args.jobs)
-    rows = ["ratio\tfinal_accuracy_mean\tfinal_accuracy_std\tfinal_loss_mean\tfinal_loss_std"]
+    rows = []
     for ratio, ratio_dir in ratio_dirs.items():
         summary = _summarize_group(ratio_dir, seeds)
         if summary is None:
-            rows.append(f"{ratio:g}\tnan\tnan\tnan\tnan")
+            rows.append((f"{ratio:g}", *["nan"] * 4))
             continue
         _write_summary(ratio_dir, summary)
         acc, loss = summary["final_accuracy"], summary["final_loss"]
-        rows.append(
-            f"{ratio:g}\t{acc['mean']:.10g}\t{acc['std']:.10g}"
-            f"\t{loss['mean']:.10g}\t{loss['std']:.10g}"
-        )
-    _write_table(group_dir / "sweep.tsv", rows)
+        rows.append((f"{ratio:g}", acc["mean"], acc["std"], loss["mean"], loss["std"]))
+    _write_tsv(group_dir / "sweep.tsv", ("ratio", "final_accuracy_mean", "final_accuracy_std",
+                                         "final_loss_mean", "final_loss_std"), rows, echo=True)
     return 2 if failed else 0
 
 
@@ -364,18 +363,15 @@ def cmd_ablate(args) -> int:
         variant: json.loads((grid_dir / variant / "run.json").read_text(encoding="utf-8"))
         for variant in ABLATION_VARIANTS
     }
-    rows = ["variant\tstatus\tfinal_loss\tfinal_accuracy\tadapter_params\tnonzero_final\tsteps_to_peak"]
-    for variant, run in grid.items():
-        if run["status"] != "complete":
-            rows.append(f"{variant}\t{run['status']}\tnan\tnan\tnan\tnan\tnan")
-            continue
-        rows.append(
-            f"{variant}\t{run['status']}\t{run['final_loss']:.10g}"
-            f"\t{run['final_accuracy']:.10g}\t{run['adapter_params']}"
-            f"\t{run['nonzero_params_final']}\t{run['best_step']}"
-        )
+    columns = ("final_loss", "final_accuracy", "adapter_params", "nonzero_params_final",
+               "best_step")
+    rows = [(variant, run["status"],
+             *(run[c] if run["status"] == "complete" else "nan" for c in columns))
+            for variant, run in grid.items()]
     _write_json(grid_dir / "grid.json", {"base_seed": base_seed, "variants": grid})
-    _write_table(grid_dir / "ablate.tsv", rows)
+    _write_tsv(grid_dir / "ablate.tsv", ("variant", "status", "final_loss", "final_accuracy",
+                                         "adapter_params", "nonzero_final", "steps_to_peak"),
+               rows, echo=True)
     return 2 if failed else 0
 
 
@@ -386,24 +382,19 @@ def cmd_ablate(args) -> int:
 def _export_metrics(run_dir: Path) -> None:
     """metrics.tsv and nonzero.tsv, one row per eval point, and
     prune_events.tsv, one row per prune event record; a record that lacks a
-    column (one logged before that count existed) leaves its cell empty."""
+    column (one logged before that count existed) leaves its cell empty. Loss
+    and accuracy are written as floats, and event cells as their logged str()."""
     points = _read_points(run_dir / "metrics.jsonl")
-    lines = ["step\tloss\taccuracy\tnonzero_params\tadapter_params\tnonzero_fraction"]
-    nz_lines = ["step\tnonzero_fraction"]
-    for p in points:
-        fraction = p.nonzero_params / p.adapter_params if p.adapter_params else 0.0
-        lines.append(
-            f"{p.step}\t{p.loss:.10g}\t{p.accuracy:.10g}"
-            f"\t{p.nonzero_params}\t{p.adapter_params}\t{fraction:.10g}"
-        )
-        nz_lines.append(f"{p.step}\t{fraction:.10g}")
-    (run_dir / "metrics.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (run_dir / "nonzero.tsv").write_text("\n".join(nz_lines) + "\n", encoding="utf-8")
+    fractions = [p.nonzero_params / p.adapter_params if p.adapter_params else 0.0 for p in points]
+    _write_tsv(run_dir / "metrics.tsv",
+               ("step", "loss", "accuracy", "nonzero_params", "adapter_params", "nonzero_fraction"),
+               [(p.step, float(p.loss), float(p.accuracy), p.nonzero_params, p.adapter_params, f)
+                for p, f in zip(points, fractions)])
+    _write_tsv(run_dir / "nonzero.tsv", ("step", "nonzero_fraction"),
+               [(p.step, f) for p, f in zip(points, fractions)])
     columns = ("step", "layer", "strategy", "ratio", "zeros_written", "min_row_zeros", "nonzero")
-    ev_lines = ["\t".join(columns)]
-    for p in points:
-        ev_lines += ["\t".join(str(e.get(c, "")) for c in columns) for e in p.prune_events]
-    (run_dir / "prune_events.tsv").write_text("\n".join(ev_lines) + "\n", encoding="utf-8")
+    _write_tsv(run_dir / "prune_events.tsv", columns,
+               [[str(e.get(c, "")) for c in columns] for p in points for e in p.prune_events])
 
 
 def cmd_report(args) -> int:

@@ -38,12 +38,13 @@ class FormatError(PriloraError, ValueError):
 class TrainingDiverged(NumericError):
     """Training produced a non-finite loss.
 
-    Carries the step at which divergence was detected and, when checkpoint
-    capture was enabled, the bytes of the last checkpoint taken at a
-    completed evaluation point.
+    Carries the step at which divergence was detected and the last good
+    state: the bytes of the checkpoint taken at the last completed evaluation
+    point, or, before a resumed run's first one, the checkpoint it resumed
+    from.
     """
 
-    def __init__(self, step: int, last_good_checkpoint: bytes | None = None):
+    def __init__(self, step: int, last_good_checkpoint: bytes):
         super().__init__(f"non-finite training loss at step {step}")
         self.step = step
         self.last_good_checkpoint = last_good_checkpoint

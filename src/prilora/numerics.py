@@ -751,10 +751,17 @@ class Rng:
         }
 
     def set_state(self, state: dict) -> None:
-        # Philox indexes its four-word buffer with this and does not check it
-        if not 0 <= int(state["buffer_pos"]) <= 4:
-            raise ParameterError(f"buffer position must lie in [0, 4], got {state['buffer_pos']}")
-        self.seed = int(state["seed"])
+        """Move to a get_state() position. A field that is not its count of
+        plain ints in range raises ParameterError before the stream changes;
+        Philox itself does not check buffer_pos, the index into its buffer."""
+        for name, count, bound in (("seed", 1, 2**64), ("counter", 4, 2**64), ("key", 2, 2**64),
+                                   ("buffer", 4, 2**64), ("buffer_pos", 1, 5),
+                                   ("has_uint32", 1, 2), ("uinteger", 1, 2**32)):
+            words = state[name] if count > 1 else [state[name]]
+            if not (type(words) is list and len(words) == count
+                    and all(type(w) is int and 0 <= w < bound for w in words)):
+                raise ParameterError(f"rng state {name} must be {count} int(s) in [0, {bound})")
+        self.seed = state["seed"]
         self._bitgen.state = {
             "bit_generator": "Philox",
             "state": {
@@ -762,9 +769,9 @@ class Rng:
                 "key": np.array(state["key"], dtype=np.uint64),
             },
             "buffer": np.array(state["buffer"], dtype=np.uint64),
-            "buffer_pos": int(state["buffer_pos"]),
-            "has_uint32": int(state["has_uint32"]),
-            "uinteger": int(state["uinteger"]),
+            "buffer_pos": state["buffer_pos"],
+            "has_uint32": state["has_uint32"],
+            "uinteger": state["uinteger"],
         }
 
 

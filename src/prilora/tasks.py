@@ -138,11 +138,7 @@ class SyntheticTask:
                     f"could not generate {total} distinct sequences; "
                     "the task space is too small for the requested counts"
                 )
-            if weights is None:
-                row, target = self._sample(rng, index=made)
-            else:  # the mean of the sequence's token weights
-                row = rng.integers(0, self.vocab_size, size=self.seq_len)
-                target = float(weights[row].mean())
+            row, target = self._sample(rng, made, weights)
             key = row.tobytes()
             if key in seen:
                 continue
@@ -170,9 +166,14 @@ class SyntheticTask:
             is_regression=self.kind == "linear_probe",
         )
 
-    def _sample(self, rng: Rng, index: int) -> tuple[np.ndarray, float]:
-        """One sequence of a classification kind and its label."""
+    def _sample(self, rng: Rng, index: int, weights: np.ndarray | None) -> tuple[np.ndarray, float]:
+        """One sequence and its target: for a classification kind, its label,
+        which alternates with index; for linear_probe, the mean of its tokens'
+        entries in weights, the per-token weight table."""
         n, v = self.seq_len, self.vocab_size
+        if weights is not None:  # linear_probe
+            row = rng.integers(0, v, size=n)
+            return row, float(weights[row].mean())
         if self.kind == "token_majority":
             # Markers 0 and 1; the label alternates so both splits stay balanced.
             label = index % 2

@@ -321,10 +321,12 @@ def train(
     must be one this call runs, for resuming under the same config and task; a
     resume_from checkpoint saved under any other TrainConfig, ModelDims or
     task data, or corrupted, raises FormatError. On a non-finite loss the loop
-    aborts with the last evaluated state attached, so callers can inspect or
-    restart from it. A model whose adapters are not the ones cfg.adapt_kinds
-    lays out over its dims and plan raises ConfigError: adapter_params counts
-    that layout.
+    aborts with the last good state attached, so callers can inspect or
+    restart from it: the last eval point's checkpoint, or resume_from before
+    a resumed run's first, which a resume at cfg.steps returns as final and
+    best. A model whose adapters are not the ones cfg.adapt_kinds lays out
+    over its dims and plan raises ConfigError: adapter_params counts that
+    layout.
 
     Each call first keeps freed heap memory in the process (_keep_heap), so
     every caller trains under one allocator policy; no result depends on it.
@@ -367,10 +369,11 @@ def train(
             f"checkpoint_at must lie in [{start_step + 1}, {cfg.steps}], got {checkpoint_at}"
         )
 
-    # the record each eval point fills: its snapshot is the final checkpoint
-    # and the last good state a divergence carries, until the next one
-    record = RunRecord(eval_points=[], steps=cfg.steps, train_seconds=0.0, final_checkpoint=None,
-                       best_checkpoint=None, best_step=start_step, start_step=start_step)
+    # each eval point's snapshot becomes the final checkpoint and the last
+    # good state a divergence carries; a resumed run starts from its own
+    record = RunRecord(eval_points=[], steps=cfg.steps, train_seconds=0.0,
+                       final_checkpoint=resume_from, best_checkpoint=resume_from,
+                       best_step=start_step, start_step=start_step)
     best_acc = -math.inf
 
     with open(metrics_path, "w") if metrics_path else contextlib.nullcontext() as metrics_fp:
@@ -438,9 +441,4 @@ def train(
                 # after this step's events and any eval point that lists them,
                 # which is the state an eval point here has just captured
                 record.mid_checkpoint = record.final_checkpoint if evaluated else snapshot(step)
-
-    # the last step evaluates, so only a resume at cfg.steps has no eval point;
-    # its best step is its start
-    if record.final_checkpoint is None:
-        record.final_checkpoint = record.best_checkpoint = snapshot(cfg.steps)
     return record

@@ -264,7 +264,7 @@ def restore_into_other_model(blob, cfg=CFG):
         error = exc
         assert moments_untouched(optimizer)
         assert all(not xbar.any() for xbar in xbars.values())
-        assert rngs["data"].get_state() == Rng(9).child("data").get_state()
+        assert all(rngs[tag].get_state() == Rng(9).child(tag).get_state() for tag in rngs)
     after = {k: t.data for k, t in model.trainable().items()}
     return before, after, error
 
@@ -301,6 +301,11 @@ def with_train(**fields):
 def with_ema(name, xbar, blob=BLOB):
     """blob holding xbar as the EMA vector for name, added if new."""
     return with_tensors({**split_blob(blob)[1], f"ema/{name}": xbar}, blob)
+
+
+def with_rng(tag, **fields):
+    """BLOB whose saved stream tag has these fields edited."""
+    return edited(rng=dict(HEADER["rng"], **{tag: dict(HEADER["rng"][tag], **fields)}))
 
 
 def without(prefix, **fields):
@@ -351,6 +356,14 @@ MALFORMED = {
     "rng_buffer_pos_negative": lambda: edited(
         rng=dict(HEADER["rng"], data=dict(HEADER["rng"]["data"], buffer_pos=-1))
     ),
+    "rng_counter_of_one_word": lambda: with_rng("prune", counter=[0]),
+    "rng_key_of_three_words": lambda: with_rng("prune", key=HEADER["rng"]["prune"]["key"] + [0]),
+    "rng_buffer_of_five_words": lambda: with_rng("prune", buffer=[0] * 5),
+    "rng_seed_a_float": lambda: with_rng("prune", seed=2.7),
+    "rng_seed_negative": lambda: with_rng("prune", seed=-3),
+    "rng_buffer_pos_a_float": lambda: with_rng("prune", buffer_pos=1.0),
+    "rng_uinteger_a_bool": lambda: with_rng("prune", uinteger=True),
+    "config_field_added_as_empty_mapping": lambda: with_train(extra={}),
     "rng_empty": lambda: edited(rng={}),
     "events_not_a_list": lambda: edited(events={"step": 3}),
     "event_not_an_object": lambda: edited(events=[3]),

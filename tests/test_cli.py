@@ -666,7 +666,34 @@ def test_report_leaves_counts_an_older_event_record_lacks_empty(tmp_path):
     assert rows[1:] == ["40\tblocks.0.wq\tprilora_A\t0.5\t32\t\t"]
 
 
-@pytest.mark.parametrize("line", ['{"step": 0, "loss": 0.7}', "not json"])
+def test_table_cells_are_floats_at_ten_digits_and_str_otherwise(tmp_path, capsys):
+    # 0.1 + 0.2 reads 0.30000000000000004 under repr, 0.3 under %.10g
+    path = tmp_path / "t.tsv"
+    cli._write_tsv(path, ("a", "b", "c", "d"), [(0.1 + 0.2, 7, "x", 1 / 3)])
+    assert path.read_text() == "a\tb\tc\td\n0.3\t7\tx\t0.3333333333\n"
+    assert capsys.readouterr().out == ""
+    cli._write_tsv(path, ("a", "b"), [], echo=True)
+    assert capsys.readouterr().out == path.read_text() == "a\tb\n"
+
+
+def test_report_writes_event_cells_as_logged(tmp_path):
+    # an event's ratio is its logged str(), not a float cell at ten digits;
+    # an int loss is a float cell all the same
+    event = {"step": 3, "layer": "blocks.0.wq", "strategy": "prilora_A", "ratio": 1 / 3,
+             "zeros_written": 5, "min_row_zeros": 1, "nonzero": 9}
+    (tmp_path / "metrics.jsonl").write_text(EvalPoint(5, 12345678901, 1, 9, 20, [event]).to_json())
+    assert main(["report", str(tmp_path)]) == 0
+    events = (tmp_path / "prune_events.tsv").read_text().splitlines()
+    assert events[1] == "3\tblocks.0.wq\tprilora_A\t0.3333333333333333\t5\t1\t9"
+    metrics = (tmp_path / "metrics.tsv").read_text().splitlines()
+    assert metrics[1] == "5\t1.23456789e+10\t1\t9\t20\t0.45"
+
+
+@pytest.mark.parametrize("line", [
+    '{"step": 0, "loss": 0.7}',
+    "not json",
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested_too_deep"),
+])
 def test_report_refuses_a_malformed_metrics_line(tmp_path, capsys, line):
     run_dir = tmp_path / "run"
     run_dir.mkdir()

@@ -184,7 +184,8 @@ def test_exhausting_a_tiny_task_space_raises():
 
 def test_a_sampler_that_finds_no_new_sequence_gives_up(monkeypatch):
     # the space check passes; the attempt limit still ends a stuck search
-    monkeypatch.setattr(SyntheticTask, "_sample", lambda self, rng, index: (np.zeros(4, np.int64), 0.0))
+    monkeypatch.setattr(SyntheticTask, "_sample",
+                        lambda self, rng, index, weights: (np.zeros(4, np.int64), 0.0))
     with pytest.raises(ParameterError, match="could not generate 3 distinct sequences"):
         build("token_majority", vocab_size=4, seq_len=4, train_count=2, eval_count=1)
 

@@ -670,6 +670,16 @@ def test_divergence_raises_with_recovery_state():
     assert isinstance(exc.value.last_good_checkpoint, bytes)
 
 
+def test_a_resumed_run_diverging_before_its_first_eval_carries_its_resume_state(task, monkeypatch):
+    cfg = small_cfg(steps=20, eval_interval=10)
+    mid = train(build_model(cfg, DIMS), task, cfg, checkpoint_at=3).mid_checkpoint
+    monkeypatch.setattr(train_harness, "_loss", lambda *args: Tensor(np.array(np.nan)))
+    with pytest.raises(TrainingDiverged) as exc:
+        train(build_model(cfg, DIMS), task, cfg, resume_from=mid)
+    assert exc.value.step == 4
+    assert exc.value.last_good_checkpoint == mid
+
+
 def test_resume_from_midpoint_is_bitwise(task):
     cfg = small_cfg(steps=20, schedule="linear", warmup_steps=4,
                     prune=PruneConfig(0.5, 5, "prilora_A"))
@@ -703,11 +713,11 @@ def test_each_checkpoint_is_captured_once(task, monkeypatch):
     at_eval = train(build_model(cfg, DIMS), task, cfg, checkpoint_at=10)
     assert len(blobs) == 5 and at_eval.mid_checkpoint is blobs[2]
     assert at_eval.final_checkpoint == full.final_checkpoint
-    # a resume at the last step runs no step and evaluates nowhere, so the
-    # final checkpoint is its one capture
+    # a resume at the last step runs no step and evaluates nowhere, so it
+    # captures nothing: the checkpoint it resumed from is its final one
     blobs.clear()
     again = train(build_model(cfg, DIMS), task, cfg, resume_from=full.final_checkpoint)
-    assert len(blobs) == 1 and again.final_checkpoint == full.final_checkpoint
+    assert len(blobs) == 0 and again.final_checkpoint == full.final_checkpoint
     assert again.best_checkpoint is again.final_checkpoint and again.best_step == 20
 
 
