@@ -196,13 +196,15 @@ def _read_points(metrics_path: Path) -> list[EvalPoint]:
             line = raw.decode("utf-8")
             if line.strip():
                 points.append(EvalPoint.from_json(line))
-        except (ValueError, TypeError, RecursionError) as exc:
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise FormatError(f"{metrics_path}:{lineno}: not an eval point: {exc}") from None
     return points
 
 
 def _summarize_group(group_dir: Path, seeds: tuple[int, ...]) -> dict | None:
-    """Mean and std of the final metrics across completed seeds."""
+    """Mean and std of the final metrics across completed seeds, written to
+    the group's summary.json and summary.tsv; None, and no file, when no seed
+    has completed."""
     rows = []
     for seed in seeds:
         run_path = group_dir / f"seed_{seed}"
@@ -235,19 +237,12 @@ def _summarize_group(group_dir: Path, seeds: tuple[int, ...]) -> dict | None:
             "values": values,
         }
 
-    return {
-        "seeds": [row["seed"] for row in rows],
-        "final_loss": stat("final_loss"),
-        "final_accuracy": stat("final_accuracy"),
-        "best_accuracy": stat("best_accuracy"),
-    }
-
-
-def _write_summary(group_dir: Path, summary: dict) -> None:
+    names = ("final_loss", "final_accuracy", "best_accuracy")
+    summary = {"seeds": [row["seed"] for row in rows], **{name: stat(name) for name in names}}
     _write_json(group_dir / "summary.json", summary)
     _write_tsv(group_dir / "summary.tsv", ("metric", "mean", "std"),
-               [(metric, summary[metric]["mean"], summary[metric]["std"])
-                for metric in ("final_loss", "final_accuracy", "best_accuracy")])
+               [(name, summary[name]["mean"], summary[name]["std"]) for name in names])
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +277,6 @@ def cmd_run(args) -> int:
     (group_dir / "config.resolved").write_text(resolved_text(cfg), encoding="utf-8")
     summary = _summarize_group(group_dir, seeds)
     if summary is not None:
-        _write_summary(group_dir, summary)
         acc = summary["final_accuracy"]
         print(
             f"{cfg['name']}: final accuracy {acc['mean']:.4f} +/- {acc['std']:.4f} "
@@ -318,7 +312,6 @@ def cmd_sweep_ratio(args) -> int:
         if summary is None:
             rows.append((f"{ratio:g}", *["nan"] * 4))
             continue
-        _write_summary(ratio_dir, summary)
         acc, loss = summary["final_accuracy"], summary["final_loss"]
         rows.append((f"{ratio:g}", acc["mean"], acc["std"], loss["mean"], loss["std"]))
     _write_tsv(group_dir / "sweep.tsv", ("ratio", "final_accuracy_mean", "final_accuracy_std",
@@ -382,13 +375,13 @@ def cmd_ablate(args) -> int:
 def _export_metrics(run_dir: Path) -> None:
     """metrics.tsv and nonzero.tsv, one row per eval point, and
     prune_events.tsv, one row per prune event record; a record that lacks a
-    column (one logged before that count existed) leaves its cell empty. Loss
-    and accuracy are written as floats, and event cells as their logged str()."""
+    column (one logged before that count existed) leaves its cell empty. Event
+    cells are written as their logged str()."""
     points = _read_points(run_dir / "metrics.jsonl")
     fractions = [p.nonzero_params / p.adapter_params if p.adapter_params else 0.0 for p in points]
     _write_tsv(run_dir / "metrics.tsv",
                ("step", "loss", "accuracy", "nonzero_params", "adapter_params", "nonzero_fraction"),
-               [(p.step, float(p.loss), float(p.accuracy), p.nonzero_params, p.adapter_params, f)
+               [(p.step, p.loss, p.accuracy, p.nonzero_params, p.adapter_params, f)
                 for p, f in zip(points, fractions)])
     _write_tsv(run_dir / "nonzero.tsv", ("step", "nonzero_fraction"),
                [(p.step, f) for p, f in zip(points, fractions)])

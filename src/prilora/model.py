@@ -94,7 +94,6 @@ def adapter_layout(
 @dataclass(eq=False)
 class ToyModel:
     dims: ModelDims
-    plan: RankPlan
     embed: np.ndarray
     pos: np.ndarray
     blocks: list[dict[str, Tensor]]
@@ -138,7 +137,7 @@ class ToyModel:
         }
         head_w = Tensor(np.zeros((dims.num_outputs, dims.d_model)), requires_grad=True)
         head_b = Tensor(np.zeros(dims.num_outputs), requires_grad=True)
-        return cls(dims, plan, embed, pos, blocks, adapters, head_w, head_b)
+        return cls(dims, embed, pos, blocks, adapters, head_w, head_b)
 
     def _apply(
         self,

@@ -33,7 +33,7 @@ name. A first gradient that an op made fresh and C-ordered becomes the
 node's gradient as it is; any other is copied to C order. So a node's
 gradient is an array nothing else holds, and a closure owns the gradient it
 is handed: relu, layer norm and softmax write theirs in place, and attention
-drops its own once it has a copy in head order.
+reads its own in head order, with no copy.
 
 ``backward()`` uses up its graph: one backward per graph. As the reverse walk
 leaves an interior node it drops that node's gradient, its closure (and with
@@ -543,8 +543,8 @@ def attention(q, k, v, heads: int) -> Tensor:
     each), not the (batch, heads, position, position) probabilities:
     backward re-forms them by the same calls on the same operands, so they
     keep their bits (FlashAttention's trade, Dao et al. 2022), and a training
-    step holds one layer's scores at a time. dq and dv are written straight
-    into the merged layout."""
+    step holds one layer's scores at a time. The output and dq, dk and dv
+    are each written straight into the merged layout."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention needs equal 3-D q, k, v, got {q.shape}, {k.shape}, {v.shape}")
@@ -559,32 +559,28 @@ def attention(q, k, v, heads: int) -> Tensor:
         p *= scale
         return p, _softmax_rows(p, stats)
 
-    p, stats = probs()
-    data = np.swapaxes(p @ vh, 1, 2).reshape(b, n, d)
-
     def merged_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = np.empty((b, n, d))
         np.matmul(x, y, out=np.swapaxes(out.reshape(split), 1, 2))
         return out
 
+    p, stats = probs()
+    data = merged_matmul(p, vh)
     qn, kn, vn = q._node, k._node, v._node
 
     def backward(g: np.ndarray) -> None:
-        # C order, as _accum's first copy left the composition's swapped grad
-        gc = np.array(np.swapaxes(g.reshape(split), 1, 2), order="C")
-        del g  # this closure's own: nothing else holds it now
+        gh = np.swapaxes(g.reshape(split), 1, 2)
         p, _ = probs(stats)
         if qn.requires_grad or kn.requires_grad:
-            gs = _softmax_backward(gc @ np.swapaxes(vh, -1, -2), p)
+            gs = _softmax_backward(gh @ np.swapaxes(vh, -1, -2), p)
             gs *= scale
             if qn.requires_grad:
                 _accum(qn, merged_matmul(gs, kh), True)
-            if kn.requires_grad:  # this merge keeps a strided view
-                dk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
-                _accum(kn, np.swapaxes(dk, 1, 2).reshape(b, n, d), False)
+            if kn.requires_grad:
+                _accum(kn, merged_matmul(np.swapaxes(gs, -1, -2), qh), True)
             del gs
         if vn.requires_grad:
-            _accum(vn, merged_matmul(np.swapaxes(p, -1, -2), gc), True)
+            _accum(vn, merged_matmul(np.swapaxes(p, -1, -2), gh), True)
 
     return _make(data, (qn, kn, vn), backward)
 
@@ -659,7 +655,7 @@ def pooled_head(x, W: Tensor, b: Tensor) -> Tensor:
         if bn.requires_grad:
             _accum(bn, g.sum(axis=0), True)
         if wn.requires_grad:
-            _accum(wn, (xhat.T @ g).T, False)
+            _accum(wn, g.T @ xhat, True)
         if xn.requires_grad:
             g_pool = _layernorm_rows_backward(g @ W.data, xhat, istd)
             _accum(xn, np.broadcast_to((g_pool / n)[:, None, :], x_shape), False)

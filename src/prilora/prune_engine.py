@@ -48,8 +48,6 @@ __all__ = [
     "prune_event",
 ]
 
-STRATEGIES = ("prilora_A", "random_A_cols", "B_rows", "B_cols", "none")
-
 # {strategy: (the factor it prunes, the norms it scores with or None for a
 # random choice, whether it prunes per column)}; "none" prunes nothing
 _TARGETS = {
@@ -58,6 +56,7 @@ _TARGETS = {
     "B_rows": ("B", "latent", False),
     "B_cols": ("B", "latent", True),
 }
+STRATEGIES = (*_TARGETS, "none")
 
 
 def _as_matrix(value) -> np.ndarray:

@@ -123,12 +123,14 @@ class EvalPoint:
 
     @classmethod
     def from_json(cls, line: str) -> "EvalPoint":
-        """The point a to_json line holds; ValueError or TypeError otherwise."""
+        """The point a to_json line holds, loss and accuracy read as floats;
+        ValueError, TypeError or OverflowError otherwise."""
         p = cls(**json.loads(line))
         if not (all(type(n) is int for n in (p.step, p.nonzero_params, p.adapter_params))
                 and all(type(x) in (int, float) for x in (p.loss, p.accuracy))
                 and type(p.prune_events) is list and all(type(e) is dict for e in p.prune_events)):
             raise TypeError(f"a field of {line.strip()!r} has the wrong type")
+        p.loss, p.accuracy = float(p.loss), float(p.accuracy)
         return p
 
 
@@ -324,9 +326,10 @@ def train(
     aborts with the last good state attached, so callers can inspect or
     restart from it: the last eval point's checkpoint, or resume_from before
     a resumed run's first, which a resume at cfg.steps returns as final and
-    best. A model whose adapters are not the ones cfg.adapt_kinds lays out
-    over its dims and plan raises ConfigError: adapter_params counts that
-    layout.
+    best. The model is checked against cfg: an adapter whose shape, rank or
+    scale is not what cfg.plan and cfg.adapt_kinds lay out over its dims at
+    cfg.adapter_scale, or a missing or extra one, raises ConfigError, since
+    adapter_params and the checkpoint header read cfg.
 
     Each call first keeps freed heap memory in the process (_keep_heap), so
     every caller trains under one allocator policy; no result depends on it.
@@ -337,11 +340,13 @@ def train(
             f"task needs {task.num_outputs} outputs but the model head has "
             f"{model.dims.num_outputs}"
         )
-    layout = adapter_layout(model.dims, model.plan, cfg.adapt_kinds)
-    if layout != {name: (pair.d1, pair.d2, pair.rank) for name, pair in model.adapters.items()}:
+    layout = adapter_layout(model.dims, cfg.plan, cfg.adapt_kinds)
+    if ({name: (*shape, cfg.adapter_scale) for name, shape in layout.items()}
+            != {name: (p.d1, p.d2, p.rank, p.scale) for name, p in model.adapters.items()}):
         raise ConfigError(
-            f"the model's adapters {sorted(model.adapters)} are not the ones its plan and "
-            f"adapt_kinds {cfg.adapt_kinds} lay out, so adapter_params would misreport them"
+            f"the model's adapters {sorted(model.adapters)} are not the ones plan "
+            f"{list(cfg.plan.ranks)} and adapt_kinds {cfg.adapt_kinds} lay out at scale "
+            f"{cfg.adapter_scale}, so adapter_params and the checkpoint would misreport them"
         )
     params = model.trainable()
     optimizer = make_optimizer(cfg.optimizer, params)

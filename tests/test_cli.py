@@ -689,10 +689,14 @@ def test_report_writes_event_cells_as_logged(tmp_path):
     assert metrics[1] == "5\t1.23456789e+10\t1\t9\t20\t0.45"
 
 
+GOOD_POINT = json.loads(EvalPoint(0, 0.7, 0.5, 10, 20, []).to_json())
+
+
 @pytest.mark.parametrize("line", [
     '{"step": 0, "loss": 0.7}',
     "not json",
     pytest.param("[" * 100_000 + "]" * 100_000, id="nested_too_deep"),
+    pytest.param(json.dumps(dict(GOOD_POINT, loss=10**400)), id="huge_int_loss"),
 ])
 def test_report_refuses_a_malformed_metrics_line(tmp_path, capsys, line):
     run_dir = tmp_path / "run"
@@ -704,9 +708,6 @@ def test_report_refuses_a_malformed_metrics_line(tmp_path, capsys, line):
     assert len(err) == 1
     assert f"{run_dir / 'metrics.jsonl'}:3: not an eval point" in err[0]
     assert not (run_dir / "metrics.tsv").exists()
-
-
-GOOD_POINT = json.loads(EvalPoint(0, 0.7, 0.5, 10, 20, []).to_json())
 
 
 @pytest.mark.parametrize("line", [

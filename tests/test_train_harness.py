@@ -506,16 +506,19 @@ def test_task_output_width_must_match_head():
         train(model, probe, cfg)
 
 
-@pytest.mark.parametrize("change", ["kinds", "rank"])
+@pytest.mark.parametrize("change", ["kinds", "rank", "plan", "scale"])
 def test_train_refuses_adapters_its_config_does_not_lay_out(task, change):
-    # adapter_params counts the layout cfg gives: on wq alone under the
-    # default kinds it would report 1344 entries for the 192 it trains
+    # adapter_params and the checkpoint header read cfg: on wq alone under the
+    # default kinds it would report 1344 entries for the 192 it trains, and a
+    # model built under another plan or scale would resume as cfg's
     cfg = small_cfg(steps=2)
-    if change == "kinds":
-        model = build_model(dataclasses.replace(cfg, adapt_kinds=("wq",)), DIMS)
-    else:
+    if change == "rank":
         model = build_model(cfg, DIMS)
         model.adapters["blocks.0.wq"] = init_adapter(16, 16, 3, Rng(1), frozen_ref="blocks.0.wq")
+    else:
+        built = {"kinds": dict(adapt_kinds=("wq",)), "plan": dict(plan=uniform_plan(2, 3)),
+                 "scale": dict(adapter_scale=3.0)}[change]
+        model = build_model(dataclasses.replace(cfg, **built), DIMS)
     with pytest.raises(ConfigError, match="adapter_params"):
         train(model, task, cfg)
 
