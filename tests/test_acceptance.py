@@ -245,7 +245,7 @@ def test_criterion_10_learning_sanity_golden_seed(reference_run):
     expected = GOLDEN["expected"]
     reduction = (record.init_loss - record.final_loss) / record.init_loss
     assert reduction >= 0.80
-    assert math.isclose(record.init_loss, expected["init_loss"], rel_tol=1e-9)
+    assert record.init_loss == expected["init_loss"]
     assert math.isclose(record.final_loss, expected["final_loss"], rel_tol=1e-9)
     assert math.isclose(reduction, expected["loss_reduction"], rel_tol=1e-9)
     assert record.final_accuracy == expected["final_accuracy"]

@@ -5,8 +5,9 @@ optimizer, rank plan, adapted kinds, schedule, EMA start, resume), run for 40
 steps at ablation-grid size: 2 layers, d_model 16, seq 8. The ``wide`` row is
 the benchmark's ``wide`` shape instead: 4 layers, d_model 128, seq 32, batch
 32, 8 steps, pruning off. A row pins
-``repr`` of the final eval loss and a ``numerics.fingerprint`` of the trained
-parameters, the EMA and the optimizer slots. Those arrays are read back from
+``repr`` of the step-0 eval loss and accuracy, ``repr`` of the final eval loss
+and a ``numerics.fingerprint`` of the trained parameters, the EMA and the
+optimizer slots. Those arrays are read back from
 the final checkpoint by ``restore_state`` into a fresh model, so a change of
 checkpoint header or format moves no pin. Like the golden, the pins assume
 this numpy and its BLAS.
@@ -94,7 +95,8 @@ def _read_back(blob: bytes, task, tcfg, dims) -> str:
 
 
 def pin(row: str) -> dict:
-    """{"final_loss": repr, "fingerprint": hex} of one row's run."""
+    """{"init_loss", "init_accuracy", "final_loss": repr, "fingerprint": hex}
+    of one row's run; a resumed row's step-0 point is its first run's."""
     cfg = {**BASE, **ROWS[row]}
     spec = build_task(cfg, SEED)
     task, dims = spec.build(), build_dims(cfg, spec)
@@ -104,8 +106,12 @@ def pin(row: str) -> dict:
         record = train(build_model(tcfg, dims), task, tcfg, resume_from=first.mid_checkpoint)
         assert record.start_step == RESUME_AT
     else:
-        record = train(build_model(tcfg, dims), task, tcfg)
+        record = first = train(build_model(tcfg, dims), task, tcfg)
+    start = first.eval_points[0]
+    assert start.step == 0
     return {
+        "init_loss": repr(start.loss),
+        "init_accuracy": repr(start.accuracy),
         "final_loss": repr(record.final_loss),
         "fingerprint": _read_back(record.final_checkpoint, task, tcfg, dims),
     }
