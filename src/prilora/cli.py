@@ -18,6 +18,7 @@ incomplete run is named on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -43,7 +44,7 @@ from .errors import (
     TrainingDiverged,
 )
 from .model import MATRIX_KINDS, ModelDims, adapter_layout, matrix_shape
-from .tasks import SyntheticTask
+from .tasks import SyntheticTask, TaskData
 from .train_harness import EVAL_BATCH, EvalPoint, TrainConfig, build_model, train
 
 __all__ = ["ABLATION_VARIANTS", "main"]
@@ -101,12 +102,19 @@ def _specs(cfg: dict, seed: int) -> tuple[SyntheticTask, TrainConfig, ModelDims]
     return task_spec, tcfg, dims
 
 
+@functools.lru_cache(maxsize=1)
+def _task_data(spec: SyntheticTask) -> TaskData:
+    """spec's data, built once for consecutive runs of one process that share
+    the spec, as an ablation grid's variants do; the arrays are read-only."""
+    return spec.build()
+
+
 def _execute_run(cfg: dict, seed: int, run_dir: str | Path) -> dict:
     """Train one seed and leave a full artifact set in run_dir."""
     task_spec, tcfg, dims = _specs(cfg, seed)
     run_path = Path(run_dir)
     run_path.mkdir(parents=True, exist_ok=True)
-    task = task_spec.build()
+    task = _task_data(task_spec)
 
     resolved = resolved_text({**cfg, "seed": seed})
     (run_path / "config.resolved").write_text(resolved, encoding="utf-8")
@@ -176,6 +184,7 @@ def _run_grid(work: list[tuple[dict, int, Path]], jobs: int) -> int:
             results = list(pool.map(_execute_run, *zip(*work)))
     else:
         results = [_execute_run(*item) for item in work]
+        _task_data.cache_clear()  # the data goes with the last run that read it
     incomplete = 0
     for (_, _, run_dir), result in zip(work, results):
         if result["status"] != "complete":

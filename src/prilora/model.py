@@ -7,7 +7,8 @@ matrices of the adapted kinds receive an adapter pair at the rank the plan
 assigns to that block; a plan rank of zero leaves the block unadapted, and
 ``adapter_layout`` is the one place that decides this. The only other
 trainable parameters are the zero-initialized classifier head, so an
-untrained model always predicts uniform logits.
+untrained model's logits are all +0.0 whatever the trunk computes, and
+``train_harness.evaluate`` skips the trunk pass while the head is all zero.
 
 Blocks are pre-norm: x + Attn(LN(x)), then x + FFN(LN(x)). Attn projects
 LN(x) through wq, wk and wv, runs the multi-head attention core as one tape
@@ -171,17 +172,10 @@ class ToyModel:
             for kind, name in zip(kinds, names)
         ]
 
-    def forward(
-        self,
-        tokens: np.ndarray,
-        norms: str | None = None,
-        sumsq: Mapping[str, np.ndarray] | None = None,
-    ) -> Tensor:
-        """Logits for a token batch. For the source norms names as
-        prune_engine.tracked_norms does (None: none), each adapted matrix's
-        per-feature sum of squares of that source over batch and position, the
-        square of its batch_input_norm, overwrites its vector in sumsq, which
-        holds one per layer prune_engine.norm_widths names."""
+    def check_tokens(self, tokens: np.ndarray) -> np.ndarray:
+        """A token batch, or one sequence, as the (batch, position) int64 ids
+        forward reads; ShapeError for an empty batch, a wrong rank or too long
+        a sequence, ParameterError for non-integer ids or ids outside the vocab."""
         tokens = np.asarray(tokens)
         if tokens.size == 0:
             raise ShapeError(f"token batch is empty, got shape {tokens.shape}")
@@ -197,6 +191,21 @@ class ToyModel:
             raise ShapeError(f"sequence length {n} exceeds model maximum {self.dims.seq_len}")
         if tokens.min() < 0 or tokens.max() >= self.dims.vocab_size:
             raise ParameterError(f"token ids must lie in [0, {self.dims.vocab_size})")
+        return tokens
+
+    def forward(
+        self,
+        tokens: np.ndarray,
+        norms: str | None = None,
+        sumsq: Mapping[str, np.ndarray] | None = None,
+    ) -> Tensor:
+        """Logits for a token batch. For the source norms names as
+        prune_engine.tracked_norms does (None: none), each adapted matrix's
+        per-feature sum of squares of that source over batch and position, the
+        square of its batch_input_norm, overwrites its vector in sumsq, which
+        holds one per layer prune_engine.norm_widths names."""
+        tokens = self.check_tokens(tokens)
+        n = tokens.shape[1]
 
         # No name outlives its consumer, so without a tape each activation is
         # freed once used; under one, the closures save what backward reads.

@@ -11,7 +11,8 @@ Three generators, all over integer token sequences of fixed length:
   weight over the sequence, standardized over the generated pool.
 
 Sequences are deduplicated before splitting, so train and eval never share
-an example, and the whole dataset is a pure function of the seed.
+an example, and the whole dataset is a pure function of the seed. The built
+arrays are read-only.
 """
 
 from __future__ import annotations
@@ -155,6 +156,8 @@ class SyntheticTask:
         else:
             targets = np.asarray(raw_targets, dtype=np.int64)
 
+        # read-only, so runs that share one build cannot change each other's data
+        tokens.flags.writeable = targets.flags.writeable = False
         split = self.train_count
         return TaskData(
             kind=self.kind,

@@ -10,7 +10,8 @@ pass writes each matrix's per-feature sum of squares into its view of that
 buffer, then one sqrt, one finiteness check and one in-place
 ``ema_update`` with ``TrainConfig.ema_decay`` move the EMA. Evaluation
 happens on a separate cadence and never touches the EMA statistics or the
-random streams.
+random streams. While the head is all zero, as at a fresh run's step 0,
+every logit is +0.0, so ``evaluate`` skips the trunk pass.
 
 Runs are deterministic functions of the config: batch order, adapter init,
 and prune randomness all come from child streams of the config seed, and a
@@ -275,16 +276,27 @@ def _accuracy(logits: np.ndarray, targets: np.ndarray, is_regression: bool) -> i
 
 
 def evaluate(model: ToyModel, task: TaskData) -> dict:
-    """Loss and accuracy over the held-out split; no side effects."""
+    """Loss and accuracy over the held-out split; no side effects.
+
+    An all-zero head, as every fresh model has, maps any finite trunk output
+    to +0.0 logits, so such a model is evaluated without a trunk pass: each
+    batch's tokens pass ToyModel.check_tokens, which raises what forward
+    would, and its logits are zeros, bit for bit the trunk path's unless that
+    trunk would overflow to NaN."""
     if task.eval_count < 1:
         raise ParameterError("evaluation split is empty")
+    zero_head = not (model.head_w.data.any() or model.head_b.data.any())
     total_loss = 0.0
     hits = 0
     with numerics.no_grad():
         for lo in range(0, task.eval_count, EVAL_BATCH):
             tokens = task.eval_tokens[lo : lo + EVAL_BATCH]
             targets = task.eval_targets[lo : lo + EVAL_BATCH]
-            logits = model.forward(tokens)
+            if zero_head:
+                batch = len(model.check_tokens(tokens))
+                logits = Tensor(np.zeros((batch, model.dims.num_outputs)))
+            else:
+                logits = model.forward(tokens)
             total_loss += _loss(logits, targets, task.is_regression).item() * len(tokens)
             hits += _accuracy(logits.data, targets, task.is_regression)
     return {"loss": total_loss / task.eval_count, "accuracy": hits / task.eval_count}

@@ -30,6 +30,7 @@ from prilora.errors import ConfigError, FormatError
 from prilora.model import MATRIX_KINDS
 from prilora.numerics import read_tensor
 from prilora.prune_engine import STRATEGIES
+from prilora.tasks import SyntheticTask
 from prilora.train_harness import EvalPoint, build_model
 
 TINY = """\
@@ -595,6 +596,22 @@ def test_ablate_runs_the_full_grid(tmp_path, capsys):
     rows = (grid_dir / "ablate.tsv").read_text().splitlines()
     assert len(rows) == 9
     assert capsys.readouterr().out.startswith("variant\t")
+
+
+def test_ablate_builds_its_task_once_per_process(tmp_path, monkeypatch):
+    builds = []
+    build = SyntheticTask.build
+
+    def counted(self):
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(SyntheticTask, "build", counted)
+    cli._task_data.cache_clear()
+    cfg = write_cfg(tmp_path / "t.cfg")
+    assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "runs"),
+                 "--seeds", "3", "--jobs", "1"]) == 0
+    assert len(builds) == 1
 
 
 def test_ablate_refuses_more_than_one_seed(tmp_path, capsys):

@@ -62,6 +62,14 @@ def test_tokens_are_int64_inside_vocab(kind):
         assert tokens.shape[1] == 10
 
 
+@pytest.mark.parametrize("kind", TASK_KINDS)
+def test_built_arrays_are_read_only(kind):
+    data = build(kind)
+    for array in (data.train_tokens, data.train_targets, data.eval_tokens, data.eval_targets):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 def test_counts_match_request():
     data = build("token_majority", train_count=33, eval_count=9)
     assert data.train_count == 33

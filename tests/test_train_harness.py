@@ -35,6 +35,7 @@ from prilora.train_harness import (
     lr_at,
     make_optimizer,
     train,
+    _accuracy,
     _loss,
 )
 
@@ -163,13 +164,74 @@ def test_same_seed_builds_identical_models(task):
     assert evaluate(a, task) == evaluate(b, task)
 
 
-def test_untrained_classifier_sits_at_chance(task):
-    # B and the head start at zero, so every logit is zero: loss is exactly
-    # ln 2 and argmax ties resolve to class 0 on a balanced eval split.
-    model = build_model(small_cfg(), DIMS)
-    metrics = evaluate(model, task)
-    assert metrics["loss"] == pytest.approx(math.log(2.0), abs=1e-15)
-    assert metrics["accuracy"] == 0.5
+def _three_batch_task(kind):
+    """A task whose eval split spans three EVAL_BATCH batches, the last one
+    partial, and model dims that fit it."""
+    spec = SyntheticTask(kind, vocab_size=8, seq_len=8, train_count=200,
+                         eval_count=2 * EVAL_BATCH + 22, seed=5)
+    return spec.build(), dataclasses.replace(DIMS, num_outputs=spec.num_outputs)
+
+
+def _trunk_path_evaluate(model, task):
+    """evaluate()'s loss and accuracy with the trunk run on every batch."""
+    total_loss, hits = 0.0, 0
+    with no_grad():
+        for lo in range(0, task.eval_count, EVAL_BATCH):
+            tokens = task.eval_tokens[lo : lo + EVAL_BATCH]
+            targets = task.eval_targets[lo : lo + EVAL_BATCH]
+            logits = model.forward(tokens)
+            total_loss += _loss(logits, targets, task.is_regression).item() * len(tokens)
+            hits += _accuracy(logits.data, targets, task.is_regression)
+    return {"loss": total_loss / task.eval_count, "accuracy": hits / task.eval_count}
+
+
+def test_untrained_classifier_sits_at_chance(monkeypatch):
+    # the head starts at zero, so every logit is +0.0 whatever the trunk
+    # computes: evaluate() gives the trunk path's result without running it
+    cases = []
+    for kind in ("token_majority", "parity_markers", "linear_probe"):
+        task, dims = _three_batch_task(kind)
+        model = build_model(small_cfg(), dims)
+        cases.append((model, task, _trunk_path_evaluate(model, task)))
+
+    def no_trunk(*args, **kwargs):
+        raise AssertionError("a zero head needs no trunk pass")
+
+    monkeypatch.setattr(ToyModel, "forward", no_trunk)
+    for model, task, expected in cases:
+        assert evaluate(model, task) == expected, task.kind
+        if not task.is_regression:
+            # loss ln 2, and argmax ties resolve to class 0 on a balanced split
+            assert expected["loss"] == pytest.approx(math.log(2.0), abs=1e-15)
+            assert expected["accuracy"] == 0.5
+
+
+@pytest.mark.parametrize("entry", ["head_w", "head_b"])
+def test_a_nonzero_head_runs_the_trunk_once_per_eval_batch(entry, monkeypatch):
+    task, dims = _three_batch_task("token_majority")
+    model = build_model(small_cfg(), dims)
+    getattr(model, entry).data.flat[0] = 0.25
+    calls = []
+    forward = ToyModel.forward
+
+    def counted(self, tokens, *args, **kwargs):
+        calls.append(len(tokens))
+        return forward(self, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(ToyModel, "forward", counted)
+    evaluate(model, task)
+    assert calls == [EVAL_BATCH, EVAL_BATCH, 22]
+
+
+@pytest.mark.parametrize("bad_id", [DIMS.vocab_size, -1])
+def test_step_zero_refuses_an_eval_token_id_outside_the_vocabulary(task, tmp_path, bad_id):
+    eval_tokens = task.eval_tokens.copy()
+    eval_tokens[-1, -1] = bad_id
+    bad = dataclasses.replace(task, eval_tokens=eval_tokens)
+    metrics = tmp_path / "metrics.jsonl"
+    with pytest.raises(ParameterError, match="token ids must lie"):
+        train(build_model(small_cfg(), DIMS), bad, small_cfg(), metrics_path=metrics)
+    assert metrics.read_text() == ""
 
 
 def test_evaluate_has_no_side_effects(task):
